@@ -5,100 +5,17 @@ over it in one of four patterns, propagate an excitation, and ask whether the
 output profile spreads like a Gaussian or pins down exponentially.
 """
 
-from .analysis import (
-    FitModel,
-    FitReport,
-    InsufficientSupportError,
-    Regime,
-    RegimeVerdict,
-    SpectralReport,
-    band_mass_profile,
-    classify,
-    effective_hamiltonian,
-    eigenvector_localization,
-    fit_profile,
-    ipr,
-    ipr_vector,
-)
-from .config import ConfigError, RunConfig, effective_config, load_config, parse_config
-from .linalg import (
-    BranchCutWarning,
-    ConvergenceError,
-    EigenDecomposition,
-    NonUnitaryError,
-    eig_unitary,
-    principal_log_unitary,
-    unitarity_defect,
-)
-from .network import (
-    MotifParams,
-    PhaseLayer,
-    RngStream,
-    Scenario,
-    ScenarioKind,
-    build_motif,
-    build_phase_layer,
-    compose,
-    disordered_motif,
-    phase_layer_matrix,
-    scenario_step_factors,
-)
-from .simulate import (
-    DepthSample,
-    Distribution,
-    EnsembleResult,
-    circular_displacements,
-    circular_variance,
-    initial_state,
-    propagate,
-    run_ensemble,
-)
+from .analysis import classify
+from .network import MotifParams, Scenario, compose
+from .simulate import propagate, run_ensemble
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BranchCutWarning",
-    "ConfigError",
-    "ConvergenceError",
-    "DepthSample",
-    "Distribution",
-    "EigenDecomposition",
-    "EnsembleResult",
-    "FitModel",
-    "FitReport",
-    "InsufficientSupportError",
     "MotifParams",
-    "NonUnitaryError",
-    "PhaseLayer",
-    "Regime",
-    "RegimeVerdict",
-    "RngStream",
-    "RunConfig",
     "Scenario",
-    "ScenarioKind",
-    "SpectralReport",
-    "band_mass_profile",
-    "build_motif",
-    "build_phase_layer",
-    "circular_displacements",
-    "circular_variance",
     "classify",
     "compose",
-    "disordered_motif",
-    "effective_config",
-    "effective_hamiltonian",
-    "eig_unitary",
-    "eigenvector_localization",
-    "fit_profile",
-    "initial_state",
-    "ipr",
-    "ipr_vector",
-    "load_config",
-    "parse_config",
-    "phase_layer_matrix",
-    "principal_log_unitary",
     "propagate",
     "run_ensemble",
-    "scenario_step_factors",
-    "unitarity_defect",
 ]

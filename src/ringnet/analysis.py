@@ -151,11 +151,6 @@ def classify(
     )
 
 
-def ipr(dist: Distribution) -> float:
-    """Inverse participation ratio of a probability distribution."""
-    return dist.ipr()
-
-
 def ipr_vector(v) -> float:
     """Inverse participation ratio of a normalized amplitude vector."""
     v = np.asarray(v, dtype=np.complex128)

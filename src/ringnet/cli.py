@@ -7,7 +7,9 @@ eigen-level localization summary of the composed transfer matrix and of a
 single disordered step.
 
 Exit codes: 0 success, 1 config problem, 2 numerical failure, 3 I/O failure.
-All result files are deterministic byte for byte given the same config.
+All result files are deterministic byte for byte given the same config and
+the same BLAS thread count. Only ``spectral.json`` depends on that count: its
+Schur decompositions can move in the last digits between thread counts.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .analysis import RegimeVerdict, classify, eigenvector_localization
 from .config import ConfigError, RunConfig, effective_config, load_config, parse_config
 from .linalg import BranchCutWarning, ConvergenceError, NonUnitaryError
 from .network import ScenarioKind, compose, disordered_motif
-from .simulate import Distribution, run_ensemble
+from .simulate import DepthSample, Distribution, run_ensemble
 
 
 def _json_value(value, indent: int) -> str:
@@ -104,10 +106,13 @@ def _fit_payload(fit) -> dict:
     }
 
 
-def _verdict_payload(verdict: RegimeVerdict, depth: int, cfg: RunConfig) -> dict:
+def _verdict_payload(
+    verdict: RegimeVerdict, sample: DepthSample, cfg: RunConfig, alpha=None
+) -> dict:
+    """Contents of one verdict file; scan-alpha's strength goes after ``fits``."""
     ratio = verdict.ssr_ratio if math.isfinite(verdict.ssr_ratio) else None
-    return {
-        "depth": depth,
+    payload = {
+        "depth": sample.depth,
         "runs": cfg.runs,
         "input_port": cfg.input_port,
         "regime": verdict.regime.value,
@@ -118,6 +123,12 @@ def _verdict_payload(verdict: RegimeVerdict, depth: int, cfg: RunConfig) -> dict
             "exponential": _fit_payload(verdict.exponential),
         },
     }
+    if alpha is not None:
+        payload["alpha"] = float(alpha)
+    payload["variance"] = sample.variance
+    payload["ipr"] = sample.ipr
+    payload["realization_ipr_mean"] = sample.realization_ipr_mean
+    return payload
 
 
 def _prepare_out_dir(cfg: RunConfig, args) -> str:
@@ -147,13 +158,9 @@ def cmd_simulate(args) -> int:
             )
         if "fits" in cfg.emit:
             verdict = classify(sample.distribution, cfg.thresholds, cfg.fit_floor)
-            payload = _verdict_payload(verdict, sample.depth, cfg)
-            payload["variance"] = sample.variance
-            payload["ipr"] = sample.ipr
-            payload["realization_ipr_mean"] = sample.realization_ipr_mean
             _write_text(
                 os.path.join(out_dir, f"verdict_M{sample.depth}.json"),
-                render_json(payload),
+                render_json(_verdict_payload(verdict, sample, cfg)),
                 args.quiet,
             )
 
@@ -186,9 +193,9 @@ def cmd_simulate(args) -> int:
 
 
 def _scan_axis(kind: ScenarioKind) -> str:
-    if kind in (ScenarioKind.FULLY_RANDOM, ScenarioKind.INTERMEDIATE):
+    if kind.fresh:
         return "alpha_layer"
-    if kind is ScenarioKind.FIXED_DISORDER:
+    if kind.frozen:
         return "alpha_fixed"
     raise ConfigError(
         "scenario.kind", f"kind {kind.value!r} has no disorder strength to scan"
@@ -219,14 +226,9 @@ def cmd_scan_alpha(args) -> int:
                 args.quiet,
             )
         if "fits" in cfg.emit:
-            payload = _verdict_payload(verdict, sample.depth, cfg)
-            payload["alpha"] = float(alpha)
-            payload["variance"] = sample.variance
-            payload["ipr"] = sample.ipr
-            payload["realization_ipr_mean"] = sample.realization_ipr_mean
             _write_text(
                 os.path.join(out_dir, f"verdict_alpha{idx}.json"),
-                render_json(payload),
+                render_json(_verdict_payload(verdict, sample, cfg, alpha)),
                 args.quiet,
             )
         ratio_field = (

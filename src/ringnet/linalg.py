@@ -1,7 +1,7 @@
 """Dense complex linear algebra kernel for unitary network matrices.
 
-Everything operates on plain numpy arrays: square complex matrices and complex
-vectors, double precision throughout. Operations validate shape and finiteness
+Everything operates on plain numpy arrays: square complex matrices, double
+precision throughout. Operations validate shape and finiteness
 at entry instead of wrapping arrays in dedicated types.
 """
 
@@ -37,39 +37,6 @@ def as_matrix(a) -> np.ndarray:
     if not np.isfinite(out).all():
         raise ValueError("matrix entries must all be finite")
     return out
-
-
-def as_vector(v) -> np.ndarray:
-    """Validate and convert to a 1-D complex128 vector with finite entries."""
-    out = np.asarray(v, dtype=np.complex128)
-    if out.ndim != 1 or out.shape[0] == 0:
-        raise ValueError(f"expected a nonempty vector, got shape {out.shape}")
-    if not np.isfinite(out).all():
-        raise ValueError("vector entries must all be finite")
-    return out
-
-
-def matmul(a, b) -> np.ndarray:
-    """Product of two square matrices of equal dimension."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"incompatible operands: {a.shape} times {b.shape}")
-    return a @ b
-
-
-def matvec(a, v) -> np.ndarray:
-    """Product of a square matrix and a vector of matching dimension."""
-    a = as_matrix(a)
-    v = as_vector(v)
-    if a.shape[0] != v.shape[0]:
-        raise ValueError(f"incompatible operands: {a.shape} times {v.shape}")
-    return a @ v
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T.copy()
 
 
 def unitarity_defect(a) -> float:

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix
-
 TWO_PI = 2.0 * np.pi
 
 
@@ -54,39 +52,21 @@ class MotifParams:
         return 2 * self.n_couplers
 
 
-def a_sublayer(params: MotifParams) -> np.ndarray:
-    """Block-diagonal layer: one theta block on each pair (2i, 2i+1)."""
-    n = params.n_modes
-    out = np.zeros((n, n), dtype=np.complex128)
-    block = coupler_block(params.theta)
-    for i in range(params.n_couplers):
-        out[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = block
-    return out
-
-
-def b_sublayer(params: MotifParams) -> np.ndarray:
-    """Shifted layer: phi blocks on pairs (2i+1, 2i+2), wrapping 2N-1 -> 0.
-
-    The wrapped block is split across the matrix corners: its diagonal
-    entries land at (0,0) and (2N-1, 2N-1), its off-diagonal entries at
-    (0, 2N-1) and (2N-1, 0).
-    """
-    n = params.n_modes
-    out = np.zeros((n, n), dtype=np.complex128)
-    block = coupler_block(params.phi)
-    for i in range(params.n_couplers - 1):
-        j = 2 * i + 1
-        out[j : j + 2, j : j + 2] = block
-    out[0, 0] = block[1, 1]
-    out[0, n - 1] = block[1, 0]
-    out[n - 1, 0] = block[0, 1]
-    out[n - 1, n - 1] = block[0, 0]
-    return out
-
-
 def build_motif(params: MotifParams) -> np.ndarray:
-    """Transfer matrix of one disorder-free motif: A sublayer times B sublayer."""
-    return as_matrix(a_sublayer(params) @ b_sublayer(params))
+    """Transfer matrix of one disorder-free motif: A sublayer times B sublayer.
+
+    B is A's block layout with phi blocks, rolled one mode around the ring:
+    the blocks land on the pairs (1,2), (3,4), ... and the last one splits
+    across the matrix corners, coupling mode 2N-1 back to mode 0. A then mixes
+    each row pair (2i, 2i+1) of B with one theta block.
+    """
+    b = np.kron(np.eye(params.n_couplers), coupler_block(params.phi))
+    b = np.roll(b, 1, axis=(0, 1))
+    c, s = np.cos(params.theta), np.sin(params.theta)
+    u = np.empty_like(b)
+    u[0::2] = c * b[0::2] + s * b[1::2]
+    u[1::2] = c * b[1::2] - s * b[0::2]
+    return u
 
 
 class RngStream:
@@ -110,43 +90,9 @@ class RngStream:
             raise ValueError(f"count must be nonnegative, got {count}")
         return self._gen.random(count)
 
-    def fork(self, stream_index: int) -> "RngStream":
-        """Fresh stream under the same master seed."""
-        return RngStream(self.master_seed, stream_index)
 
-
-@dataclass(frozen=True)
-class PhaseLayer:
-    """Diagonal layer of mode phases, stored as the bare angle vector.
-
-    range_alpha records the half-open width the phases were drawn from, so a
-    layer can be checked against the disorder strength that produced it.
-    """
-
-    phases: np.ndarray
-    range_alpha: float
-
-    def __post_init__(self):
-        phases = np.asarray(self.phases, dtype=np.float64)
-        if phases.ndim != 1 or phases.shape[0] == 0:
-            raise ValueError(f"phases must be a nonempty vector, got {phases.shape}")
-        if not np.isfinite(phases).all():
-            raise ValueError("phases must all be finite")
-        if not 0.0 <= self.range_alpha <= TWO_PI:
-            raise ValueError(
-                f"range_alpha must lie in [0, 2*pi], got {self.range_alpha!r}"
-            )
-        if phases.size and (phases.min() < 0.0 or phases.max() > self.range_alpha):
-            raise ValueError("phases must lie in [0, range_alpha]")
-        object.__setattr__(self, "phases", phases)
-
-    @property
-    def n_modes(self) -> int:
-        return self.phases.shape[0]
-
-
-def build_phase_layer(n_modes: int, alpha: float, rng: RngStream) -> PhaseLayer:
-    """Draw one phase layer with phases uniform on [0, alpha).
+def build_phase_layer(n_modes: int, alpha: float, rng: RngStream) -> np.ndarray:
+    """Draw the phases of one layer, uniform on [0, alpha).
 
     Always consumes exactly n_modes draws from ``rng``, alpha = 0 included,
     so stream positions stay aligned across disorder strengths.
@@ -155,12 +101,7 @@ def build_phase_layer(n_modes: int, alpha: float, rng: RngStream) -> PhaseLayer:
         raise ValueError(f"n_modes must be positive, got {n_modes}")
     if not 0.0 <= alpha <= TWO_PI:
         raise ValueError(f"alpha must lie in [0, 2*pi], got {alpha!r}")
-    return PhaseLayer(phases=alpha * rng.uniform(n_modes), range_alpha=alpha)
-
-
-def phase_layer_matrix(layer: PhaseLayer) -> np.ndarray:
-    """Dense diagonal matrix exp(i * phases)."""
-    return np.diag(np.exp(1j * layer.phases))
+    return alpha * rng.uniform(n_modes)
 
 
 class ScenarioKind(str, enum.Enum):
@@ -170,6 +111,16 @@ class ScenarioKind(str, enum.Enum):
     FULLY_RANDOM = "fully-random"
     FIXED_DISORDER = "fixed-disorder"
     INTERMEDIATE = "intermediate"
+
+    @property
+    def frozen(self) -> bool:
+        """Draws one alpha_fixed layer per realization and repeats it every step."""
+        return self in (ScenarioKind.FIXED_DISORDER, ScenarioKind.INTERMEDIATE)
+
+    @property
+    def fresh(self) -> bool:
+        """Redraws alpha_layer layers every step."""
+        return self in (ScenarioKind.FULLY_RANDOM, ScenarioKind.INTERMEDIATE)
 
 
 @dataclass(frozen=True)
@@ -206,19 +157,11 @@ class Scenario:
             val = getattr(self, name)
             if not 0.0 <= val <= TWO_PI:
                 raise ValueError(f"{name} must lie in [0, 2*pi], got {val!r}")
-        uses_fixed = self.kind in (
-            ScenarioKind.FIXED_DISORDER,
-            ScenarioKind.INTERMEDIATE,
-        )
-        uses_layer = self.kind in (
-            ScenarioKind.FULLY_RANDOM,
-            ScenarioKind.INTERMEDIATE,
-        )
-        if not uses_fixed and self.alpha_fixed != 0.0:
+        if not self.kind.frozen and self.alpha_fixed != 0.0:
             raise ValueError(
                 f"alpha_fixed is not used by kind {self.kind.value!r} and must be 0"
             )
-        if not uses_layer and self.alpha_layer != 0.0:
+        if not self.kind.fresh and self.alpha_layer != 0.0:
             raise ValueError(
                 f"alpha_layer is not used by kind {self.kind.value!r} and must be 0"
             )
@@ -237,64 +180,43 @@ def scenario_step_factors(scenario: Scenario, rng: RngStream):
     internal one is drawn first. Every layer draw consumes exactly n_modes
     uniforms regardless of its strength.
 
+    One loop serves every kind: a frozen layer is folded into the motif once,
+    then each step applies a fresh layer before the motif (D', D'') and, for
+    fully-random, one after it (D_m).
+
     pure:            U, U, ..., U
     fixed-disorder:  U D with one D = diag phases drawn once
     fully-random:    (U D'_m) D_m, D_m omitted after the last step
     intermediate:    U D D''_m with the fixed D drawn once, D''_m per step
     """
-    u = build_motif(scenario.motif)
     n = scenario.n_modes
     kind = scenario.kind
-
-    if kind is ScenarioKind.PURE:
-        for _ in range(scenario.depth):
-            yield u
-        return
-
-    if kind is ScenarioKind.FIXED_DISORDER:
-        fixed = build_phase_layer(n, scenario.alpha_fixed, rng)
-        step = u * np.exp(1j * fixed.phases)
-        for _ in range(scenario.depth):
-            yield step
-        return
-
-    if kind is ScenarioKind.FULLY_RANDOM:
-        for m in range(scenario.depth):
-            internal = build_phase_layer(n, scenario.alpha_layer, rng)
-            if scenario.motif_internal_phases:
-                step = u * np.exp(1j * internal.phases)
-            else:
-                step = u
+    u = build_motif(scenario.motif)
+    if kind.frozen:
+        u = u * np.exp(1j * build_phase_layer(n, scenario.alpha_fixed, rng))
+    for m in range(scenario.depth):
+        before = after = None
+        if kind.fresh:
+            before = np.exp(1j * build_phase_layer(n, scenario.alpha_layer, rng))
+        if kind is ScenarioKind.FULLY_RANDOM:
+            if not scenario.motif_internal_phases:
+                before = None  # drawn all the same, so the stream stays aligned
             if m < scenario.depth - 1:
-                # layer between this motif and the next; nothing follows the
-                # last motif, so its between-layer is neither drawn nor applied
-                between = build_phase_layer(n, scenario.alpha_layer, rng)
-                step = np.exp(1j * between.phases)[:, None] * step
-            yield step
-        return
-
-    if kind is ScenarioKind.INTERMEDIATE:
-        fixed = build_phase_layer(n, scenario.alpha_fixed, rng)
-        base = u * np.exp(1j * fixed.phases)
-        for _ in range(scenario.depth):
-            step_layer = build_phase_layer(n, scenario.alpha_layer, rng)
-            yield base * np.exp(1j * step_layer.phases)
-        return
-
-    raise ValueError(f"unhandled scenario kind {kind!r}")  # pragma: no cover
+                # nothing follows the last motif, so its between-layer is
+                # neither drawn nor applied
+                after = np.exp(1j * build_phase_layer(n, scenario.alpha_layer, rng))
+        step = u if before is None else u * before
+        yield step if after is None else after[:, None] * step
 
 
-def compose(scenario: Scenario, rng: RngStream | None = None) -> np.ndarray:
+def compose(scenario: Scenario) -> np.ndarray:
     """Full transfer matrix of a scenario: the product of all step factors.
 
     Later steps multiply from the left, so the result applied to a column
-    vector runs the steps in order. By default draws from stream 0 of the
-    scenario seed; pass ``rng`` to share a stream with snapshot bookkeeping.
+    vector runs the steps in order. Draws from stream 0 of the scenario seed.
     """
-    if rng is None:
-        rng = RngStream(scenario.seed, 0)
     w = np.eye(scenario.n_modes, dtype=np.complex128)
-    for factor in scenario_step_factors(scenario, rng):
+    for factor in scenario_step_factors(scenario, RngStream(scenario.seed, 0)):
         w = factor @ w
     return w
 

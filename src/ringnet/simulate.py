@@ -75,17 +75,15 @@ def initial_state(n_modes: int, input_index: int) -> np.ndarray:
     return state
 
 
-def output_distribution(w: np.ndarray, input_index: int) -> Distribution:
-    """Mode probabilities after applying transfer matrix column input_index.
+def output_distribution(amplitudes: np.ndarray, input_index: int) -> Distribution:
+    """Mode probabilities of the amplitudes propagated from mode input_index.
 
-    The column is renormalized before squaring so accumulated round-off in a
-    long matrix product cannot push the total past the distribution tolerance.
+    The amplitudes are renormalized before squaring so accumulated round-off
+    in a long product cannot push the total past the distribution tolerance.
     """
-    w = np.asarray(w)
-    amplitudes = w[:, input_index]
     norm = float(np.linalg.norm(amplitudes))
     if norm == 0.0:
-        raise ValueError(f"transfer matrix column {input_index} is zero")
+        raise ValueError(f"amplitudes propagated from mode {input_index} are zero")
     p = np.abs(amplitudes / norm) ** 2
     return Distribution(probabilities=p / p.sum(), input_index=input_index)
 
@@ -105,7 +103,7 @@ def propagate(w, input_index: int) -> Distribution:
         raise ValueError(
             f"input_index {input_index} outside the mode range [0, {w.shape[0]})"
         )
-    return output_distribution(w, input_index)
+    return output_distribution(w[:, input_index], input_index)
 
 
 def circular_displacements(n_modes: int, input_index: int) -> np.ndarray:
@@ -166,11 +164,6 @@ class EnsembleResult:
     def final(self) -> DepthSample:
         return self.samples[-1]
 
-    @property
-    def mean_dist(self) -> Distribution:
-        """Ensemble-mean distribution at the deepest requested depth."""
-        return self.samples[-1].distribution
-
 
 def run_ensemble(
     scenario: Scenario,
@@ -184,9 +177,8 @@ def run_ensemble(
     depths must be strictly increasing with the last entry equal to
     scenario.depth, so every snapshot falls inside a single pass through the
     step factors. Realization r draws from stream r of the master seed
-    (scenario.seed unless overridden) and realizations accumulate in
-    ascending order; results are therefore reproducible bit for bit
-    regardless of platform thread counts.
+    (scenario.seed unless overridden) and realizations accumulate serially
+    in ascending order, so a run repeats bit for bit.
     """
     depths = tuple(int(d) for d in depths)
     if len(depths) == 0:
@@ -211,14 +203,12 @@ def run_ensemble(
     sums = {d: np.zeros(n, dtype=np.float64) for d in depths}
     ipr_sums = {d: 0.0 for d in depths}
     for r in range(runs):
-        rng = RngStream(master_seed, r)
+        factors = scenario_step_factors(scenario, RngStream(master_seed, r))
         w = np.eye(n, dtype=np.complex128)
-        step = 0
-        for factor in scenario_step_factors(scenario, rng):
+        for step, factor in enumerate(factors, start=1):
             w = factor @ w
-            step += 1
             if step in wanted:
-                dist_r = output_distribution(w, input_index)
+                dist_r = output_distribution(w[:, input_index], input_index)
                 sums[step] += dist_r.probabilities
                 ipr_sums[step] += dist_r.ipr()
 

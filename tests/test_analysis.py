@@ -15,7 +15,6 @@ from ringnet.analysis import (
     effective_hamiltonian,
     eigenvector_localization,
     fit_profile,
-    ipr,
     ipr_vector,
 )
 from ringnet.network import MotifParams, Scenario, build_motif, compose, disordered_motif
@@ -163,12 +162,12 @@ def test_classify_is_scale_invariant_through_renormalization():
 def test_ipr_bounds_and_permutation_invariance(weights, seed):
     p = np.array(weights) / np.sum(weights)
     dist = Distribution(p / p.sum(), 0)
-    value = ipr(dist)
+    value = dist.ipr()
     n = len(weights)
     assert 1.0 / n - 1e-12 <= value <= 1.0 + 1e-12
     perm = np.random.default_rng(seed).permutation(n)
     shuffled = Distribution(p[perm] / p[perm].sum(), 0)
-    assert ipr(shuffled) == pytest.approx(value, rel=1e-12)
+    assert shuffled.ipr() == pytest.approx(value, rel=1e-12)
 
 
 def test_ipr_vector_matches_distribution_ipr():

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -299,3 +300,59 @@ def test_subprocess_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "effective_config.json").exists()
+
+
+THREAD_VARS = (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+)
+
+
+def run_with_threads(tmp_path, command, cfg, threads):
+    out = tmp_path / f"{command}-{threads}"
+    env = dict(os.environ, **{var: str(threads) for var in THREAD_VARS})
+    proc = subprocess.run(
+        [sys.executable, "-m", "ringnet", command, "--config", str(cfg), "--out", str(out), "--quiet"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return read_all(out)
+
+
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("simulate", {
+            "scenario": {
+                "kind": "fully-random", "n_couplers": 100, "alpha_layer": TWO_PI, "seed": 0,
+            },
+            "depths": [10, 20, 30, 40, 50],
+            "runs": 10,
+            "emit": ["distributions", "fits", "variance_trace", "spectral"],
+        }),
+        ("scan-alpha", {
+            "scenario": {
+                "kind": "fixed-disorder", "n_couplers": 80, "alpha_fixed": TWO_PI, "seed": 0,
+            },
+            "depths": [40],
+            "runs": 6,
+            "alphas": [TWO_PI / k for k in (32, 16, 8, 4, 2, 1)],
+            "emit": ["distributions", "fits"],
+        }),
+    ],
+    ids=["simulate", "scan-alpha"],
+)
+def test_outputs_do_not_depend_on_thread_count(tmp_path, command, overrides):
+    cfg = write_config(tmp_path, **overrides)
+    single = run_with_threads(tmp_path, command, cfg, 1)
+    double = run_with_threads(tmp_path, command, cfg, 2)
+    assert single.keys() == double.keys()
+    # LAPACK's Schur step may move spectral.json in its last digits
+    for name in single.keys() - {"spectral.json"}:
+        assert single[name] == double[name], name

@@ -7,17 +7,11 @@ from hypothesis import strategies as st
 from ringnet.linalg import (
     BranchCutWarning,
     NonUnitaryError,
-    adjoint,
     as_matrix,
-    as_vector,
     eig_unitary,
-    matmul,
-    matvec,
     principal_log_unitary,
     unitarity_defect,
 )
-
-from naive_reference import naive_matmul, naive_matvec
 
 
 def random_unitary(n, seed):
@@ -26,11 +20,6 @@ def random_unitary(n, seed):
     q, r = np.linalg.qr(z)
     # fix the QR phase ambiguity so q is drawn from the uniform distribution
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def random_matrix(n, seed):
-    gen = np.random.default_rng(seed)
-    return gen.normal(size=(n, n)) + 1j * gen.normal(size=(n, n))
 
 
 # ---------------------------------------------------------------- conversions
@@ -59,67 +48,6 @@ def test_as_matrix_rejects_nonfinite():
         as_matrix([[np.nan, 0], [0, 1]])
     with pytest.raises(ValueError):
         as_matrix([[np.inf, 0], [0, 1]])
-
-
-def test_as_vector_rejects_matrix_and_nonfinite():
-    with pytest.raises(ValueError):
-        as_vector(np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        as_vector([1.0, np.nan])
-
-
-# ------------------------------------------------------------------- products
-
-
-def test_matmul_identity():
-    a = random_matrix(5, 1)
-    np.testing.assert_array_equal(matmul(a, np.eye(5)), a)
-
-
-def test_matmul_matches_naive_triple_loop():
-    a = random_matrix(4, 2)
-    b = random_matrix(4, 3)
-    expected = np.array(naive_matmul(a.tolist(), b.tolist()))
-    np.testing.assert_allclose(matmul(a, b), expected, atol=1e-13)
-
-
-def test_matmul_rejects_mismatched_shapes():
-    with pytest.raises(ValueError):
-        matmul(np.eye(3), np.eye(4))
-
-
-def test_matvec_matches_naive_loop():
-    a = random_matrix(6, 4)
-    v = np.arange(6) + 1j
-    expected = np.array(naive_matvec(a.tolist(), v.tolist()))
-    np.testing.assert_allclose(matvec(a, v), expected, atol=1e-13)
-
-
-def test_matvec_rejects_mismatched_shapes():
-    with pytest.raises(ValueError):
-        matvec(np.eye(3), np.zeros(4))
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=2, max_value=40), st.integers(min_value=0, max_value=10**6))
-def test_matmul_associative(dim, seed):
-    a = random_matrix(dim, seed)
-    b = random_matrix(dim, seed + 1)
-    c = random_matrix(dim, seed + 2)
-    left = matmul(matmul(a, b), c)
-    right = matmul(a, matmul(b, c))
-    scale = max(np.abs(left).max(), 1.0)
-    assert np.abs(left - right).max() / scale < 1e-12
-
-
-def test_adjoint_example():
-    a = np.array([[0, 1j], [0, 0]])
-    np.testing.assert_array_equal(adjoint(a), np.array([[0, 0], [-1j, 0]]))
-
-
-def test_adjoint_is_involution():
-    a = random_matrix(7, 5)
-    np.testing.assert_array_equal(adjoint(adjoint(a)), as_matrix(a))
 
 
 # ----------------------------------------------------------- unitarity defect
