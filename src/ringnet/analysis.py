@@ -19,7 +19,6 @@ from .simulate import Distribution, circular_displacements
 
 LOG10_E = float(np.log10(np.e))
 HERMITIAN_TOL = 1e-6
-VECTOR_NORM_TOL = 1e-8
 DEFAULT_THRESHOLDS = (0.8, 1.25)
 DEFAULT_FLOOR = 1e-12
 
@@ -149,18 +148,6 @@ def classify(
         ssr_ratio=float(ratio),
         localization_length=length,
     )
-
-
-def ipr_vector(v) -> float:
-    """Inverse participation ratio of a normalized amplitude vector."""
-    v = np.asarray(v, dtype=np.complex128)
-    if v.ndim != 1 or v.shape[0] == 0:
-        raise ValueError(f"expected a nonempty vector, got shape {v.shape}")
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > VECTOR_NORM_TOL:
-        raise ValueError(f"vector norm {norm!r} is not 1 within {VECTOR_NORM_TOL:.0e}")
-    p = np.abs(v) ** 2
-    return float(np.sum(p**2))
 
 
 def effective_hamiltonian(w, depth: int) -> np.ndarray:

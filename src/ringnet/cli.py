@@ -1,12 +1,19 @@
 """Command line front end.
 
-Three subcommands: ``simulate`` runs one ensemble and writes distribution,
+Three subcommands: ``simulate`` runs one ensemble and makes distribution,
 verdict, and variance-trace files; ``scan-alpha`` repeats the final-depth
-classification across a list of disorder strengths; ``spectrum`` writes the
+classification across a list of disorder strengths; ``spectrum`` makes the
 eigen-level localization summary of the composed transfer matrix and of a
 single disordered step.
 
-Exit codes: 0 success, 1 config problem, 2 numerical failure, 3 I/O failure.
+Each subcommand returns its files as an ordered ``{filename: text}`` and opens
+no file itself; ``main`` adds ``effective_config.json`` and writes them all.
+Result files are written only after the whole run has been computed, so a
+run that fails on its config or numerically leaves at most an empty output
+directory.
+
+Exit codes: 0 success, 1 config problem or usage error, 2 numerical failure,
+3 I/O failure.
 All result files are deterministic byte for byte given the same config and
 the same BLAS thread count. Only ``spectral.json`` depends on that count: its
 Schur decompositions can move in the last digits between thread counts.
@@ -131,37 +138,18 @@ def _verdict_payload(
     return payload
 
 
-def _prepare_out_dir(cfg: RunConfig, args) -> str:
-    out_dir = args.out if args.out is not None else (cfg.output or ".")
-    os.makedirs(out_dir, exist_ok=True)
-    return out_dir
-
-
-def _load(args) -> RunConfig:
-    if args.config is None:
-        raise ConfigError("--config", "a config file is required")
-    data = load_config(args.config)
-    return parse_config(data, seed_override=args.seed, runs_override=args.runs)
-
-
-def cmd_simulate(args) -> int:
-    cfg = _load(args)
-    out_dir = _prepare_out_dir(cfg, args)
+def cmd_simulate(cfg: RunConfig) -> dict[str, str]:
     result = run_ensemble(cfg.scenario, cfg.input_index, cfg.depths, cfg.runs)
-
+    files = {}
     for sample in result.samples:
         if "distributions" in cfg.emit:
-            _write_text(
-                os.path.join(out_dir, f"dist_M{sample.depth}.csv"),
-                distribution_csv(sample.distribution, cfg.fit_floor),
-                args.quiet,
+            files[f"dist_M{sample.depth}.csv"] = distribution_csv(
+                sample.distribution, cfg.fit_floor
             )
         if "fits" in cfg.emit:
             verdict = classify(sample.distribution, cfg.thresholds, cfg.fit_floor)
-            _write_text(
-                os.path.join(out_dir, f"verdict_M{sample.depth}.json"),
-                render_json(_verdict_payload(verdict, sample, cfg)),
-                args.quiet,
+            files[f"verdict_M{sample.depth}.json"] = render_json(
+                _verdict_payload(verdict, sample, cfg)
             )
 
     if "variance_trace" in cfg.emit:
@@ -171,25 +159,11 @@ def cmd_simulate(args) -> int:
                 f"{sample.depth},{format(sample.variance, '.17g')},"
                 f"{format(sample.ipr, '.17g')}"
             )
-        _write_text(
-            os.path.join(out_dir, "variance_trace.csv"),
-            "\n".join(lines) + "\n",
-            args.quiet,
-        )
+        files["variance_trace.csv"] = "\n".join(lines) + "\n"
 
     if "spectral" in cfg.emit:
-        _write_text(
-            os.path.join(out_dir, "spectral.json"),
-            render_json(_spectral_payload(cfg.scenario)),
-            args.quiet,
-        )
-
-    _write_text(
-        os.path.join(out_dir, "effective_config.json"),
-        render_json(effective_config(cfg)),
-        args.quiet,
-    )
-    return 0
+        files.update(cmd_spectrum(cfg))
+    return files
 
 
 def _scan_axis(kind: ScenarioKind) -> str:
@@ -202,13 +176,12 @@ def _scan_axis(kind: ScenarioKind) -> str:
     )
 
 
-def cmd_scan_alpha(args) -> int:
-    cfg = _load(args)
+def cmd_scan_alpha(cfg: RunConfig) -> dict[str, str]:
     if cfg.alphas is None:
         raise ConfigError("alphas", "required key is missing for scan-alpha")
-    out_dir = _prepare_out_dir(cfg, args)
     axis = _scan_axis(cfg.scenario.kind)
 
+    files = {}
     summary = ["alpha,ipr,ssr_ratio,regime"]
     for idx, alpha in enumerate(cfg.alphas):
         # same seed for every strength: differences along the scan come from
@@ -220,16 +193,12 @@ def cmd_scan_alpha(args) -> int:
         sample = result.final
         verdict = classify(sample.distribution, cfg.thresholds, cfg.fit_floor)
         if "distributions" in cfg.emit:
-            _write_text(
-                os.path.join(out_dir, f"dist_alpha{idx}.csv"),
-                distribution_csv(sample.distribution, cfg.fit_floor),
-                args.quiet,
+            files[f"dist_alpha{idx}.csv"] = distribution_csv(
+                sample.distribution, cfg.fit_floor
             )
         if "fits" in cfg.emit:
-            _write_text(
-                os.path.join(out_dir, f"verdict_alpha{idx}.json"),
-                render_json(_verdict_payload(verdict, sample, cfg, alpha)),
-                args.quiet,
+            files[f"verdict_alpha{idx}.json"] = render_json(
+                _verdict_payload(verdict, sample, cfg, alpha)
             )
         ratio_field = (
             format(verdict.ssr_ratio, ".17g")
@@ -241,17 +210,8 @@ def cmd_scan_alpha(args) -> int:
             f"{ratio_field},{verdict.regime.value}"
         )
 
-    _write_text(
-        os.path.join(out_dir, "scan_summary.csv"),
-        "\n".join(summary) + "\n",
-        args.quiet,
-    )
-    _write_text(
-        os.path.join(out_dir, "effective_config.json"),
-        render_json(effective_config(cfg)),
-        args.quiet,
-    )
-    return 0
+    files["scan_summary.csv"] = "\n".join(summary) + "\n"
+    return files
 
 
 def _spectral_section(w: np.ndarray, depth: int) -> dict:
@@ -270,29 +230,15 @@ def _spectral_section(w: np.ndarray, depth: int) -> dict:
     }
 
 
-def _spectral_payload(scenario) -> dict:
-    return {
+def cmd_spectrum(cfg: RunConfig) -> dict[str, str]:
+    scenario = cfg.scenario
+    payload = {
         "n_modes": scenario.n_modes,
         "depth": scenario.depth,
         "single_step": _spectral_section(disordered_motif(scenario), 1),
         "full_product": _spectral_section(compose(scenario), scenario.depth),
     }
-
-
-def cmd_spectrum(args) -> int:
-    cfg = _load(args)
-    out_dir = _prepare_out_dir(cfg, args)
-    _write_text(
-        os.path.join(out_dir, "spectral.json"),
-        render_json(_spectral_payload(cfg.scenario)),
-        args.quiet,
-    )
-    _write_text(
-        os.path.join(out_dir, "effective_config.json"),
-        render_json(effective_config(cfg)),
-        args.quiet,
-    )
-    return 0
+    return {"spectral.json": render_json(payload)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -318,9 +264,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error; 2 is reserved
+        # for numerical failure here
+        return 1 if exc.code else 0
+    try:
+        if args.config is None:
+            raise ConfigError("--config", "a config file is required")
+        cfg = parse_config(
+            load_config(args.config), seed_override=args.seed, runs_override=args.runs
+        )
+        # created before the compute so an unwritable --out fails fast
+        out_dir = args.out if args.out is not None else (cfg.output or ".")
+        os.makedirs(out_dir, exist_ok=True)
+        files = args.func(cfg)
+        files["effective_config.json"] = render_json(effective_config(cfg))
+        for name, text in files.items():
+            _write_text(os.path.join(out_dir, name), text, args.quiet)
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -12,6 +12,8 @@ import json
 import math
 from dataclasses import dataclass
 
+from .analysis import DEFAULT_FLOOR as DEFAULT_FIT_FLOOR
+from .analysis import DEFAULT_THRESHOLDS
 from .network import TWO_PI, MotifParams, Scenario, ScenarioKind
 
 QUARTER_PI = math.pi / 4.0
@@ -22,8 +24,6 @@ DEFAULT_PHI = QUARTER_PI
 DEFAULT_SEED = 0
 DEFAULT_RUNS = 1000
 DEFAULT_EMIT = ("distributions", "fits", "variance_trace")
-DEFAULT_FIT_FLOOR = 1e-12
-DEFAULT_THRESHOLDS = (0.8, 1.25)
 
 EMIT_CHOICES = frozenset(DEFAULT_EMIT) | {"spectral"}
 

@@ -62,28 +62,20 @@ class Distribution:
         return float(np.sum(self.probabilities**2))
 
 
-def initial_state(n_modes: int, input_index: int) -> np.ndarray:
-    """Unit excitation on one mode, zero elsewhere."""
-    if n_modes <= 0:
-        raise ValueError(f"n_modes must be positive, got {n_modes}")
-    if not 0 <= input_index < n_modes:
-        raise ValueError(
-            f"input_index {input_index} outside the mode range [0, {n_modes})"
-        )
-    state = np.zeros(n_modes, dtype=np.complex128)
-    state[input_index] = 1.0
-    return state
-
-
 def output_distribution(amplitudes: np.ndarray, input_index: int) -> Distribution:
     """Mode probabilities of the amplitudes propagated from mode input_index.
 
-    The amplitudes are renormalized before squaring so accumulated round-off
+    Raises NonUnitaryError when the squared norm misses one by UNITARITY_TOL
+    or more, as the column of a non-unitary propagator would. Within that,
+    the amplitudes are renormalized before squaring so accumulated round-off
     in a long product cannot push the total past the distribution tolerance.
     """
     norm = float(np.linalg.norm(amplitudes))
-    if norm == 0.0:
-        raise ValueError(f"amplitudes propagated from mode {input_index} are zero")
+    if abs(norm**2 - 1.0) >= UNITARITY_TOL:
+        raise NonUnitaryError(
+            f"amplitudes propagated from mode {input_index} have squared norm "
+            f"{norm**2!r}, not 1 within {UNITARITY_TOL:.0e}"
+        )
     p = np.abs(amplitudes / norm) ** 2
     return Distribution(probabilities=p / p.sum(), input_index=input_index)
 

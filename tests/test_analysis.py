@@ -15,7 +15,6 @@ from ringnet.analysis import (
     effective_hamiltonian,
     eigenvector_localization,
     fit_profile,
-    ipr_vector,
 )
 from ringnet.network import MotifParams, Scenario, build_motif, compose, disordered_motif
 from ringnet.simulate import Distribution, circular_displacements
@@ -168,16 +167,6 @@ def test_ipr_bounds_and_permutation_invariance(weights, seed):
     perm = np.random.default_rng(seed).permutation(n)
     shuffled = Distribution(p[perm] / p[perm].sum(), 0)
     assert shuffled.ipr() == pytest.approx(value, rel=1e-12)
-
-
-def test_ipr_vector_matches_distribution_ipr():
-    v = np.array([0.6, 0.8j])
-    assert ipr_vector(v) == pytest.approx(0.6**4 + 0.8**4, rel=1e-12)
-
-
-def test_ipr_vector_rejects_unnormalized():
-    with pytest.raises(ValueError):
-        ipr_vector(np.array([1.0, 1.0]))
 
 
 # ------------------------------------------------------- effective generator

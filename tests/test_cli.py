@@ -7,9 +7,13 @@ import sys
 import numpy as np
 import pytest
 
+import ringnet.cli
+import ringnet.simulate
+from ringnet.analysis import InsufficientSupportError
 from ringnet.cli import distribution_csv, main, render_json
+from ringnet.linalg import NonUnitaryError
 from ringnet.network import MotifParams, Scenario, compose
-from ringnet.simulate import propagate
+from ringnet.simulate import propagate, run_ensemble
 
 TWO_PI = 6.283185307179586
 
@@ -217,6 +221,28 @@ def test_scan_alpha_rejects_pure_kind(tmp_path, capsys):
     code = main(["scan-alpha", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 1
     assert "config error" in capsys.readouterr().err
+    assert list((tmp_path / "o").iterdir()) == []
+
+
+def test_scan_alpha_failure_after_first_strength_writes_nothing(
+    tmp_path, monkeypatch, capsys
+):
+    cfg = write_config(tmp_path, depths=[6], runs=5, alphas=[0.0, TWO_PI])
+    real_classify = ringnet.cli.classify
+    calls = []
+
+    def classify_once(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise InsufficientSupportError("second strength has no support")
+        return real_classify(*args, **kwargs)
+
+    monkeypatch.setattr(ringnet.cli, "classify", classify_once)
+    out = tmp_path / "o"
+    assert main(["scan-alpha", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "numerical failure" in capsys.readouterr().err
+    assert len(calls) == 2
+    assert list(out.iterdir()) == []
 
 
 # ------------------------------------------------------------------- spectrum
@@ -273,6 +299,11 @@ def test_exit_1_on_bad_config(tmp_path, capsys):
 def test_exit_1_on_missing_config_flag(capsys):
     assert main(["simulate"]) == 1
     assert "config error" in capsys.readouterr().err
+    # argparse's own usage-error code is 2, which here means numerical failure
+    for argv in (["simulate", "--seed", "abc"], ["bogus"]):
+        assert main(argv) == 1
+        assert "usage:" in capsys.readouterr().err
+    assert main(["simulate", "--help"]) == 0
 
 
 def test_exit_2_on_numerical_failure(tmp_path, capsys):
@@ -280,6 +311,26 @@ def test_exit_2_on_numerical_failure(tmp_path, capsys):
     cfg = write_config(tmp_path, fit_floor=0.9, depths=[6])
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "numerical failure" in capsys.readouterr().err
+    assert list((tmp_path / "o").iterdir()) == []
+
+
+def test_exit_2_on_non_unitary_step_factors(tmp_path, monkeypatch, capsys):
+    real_factors = ringnet.simulate.scenario_step_factors
+
+    def inflated_factors(*args, **kwargs):
+        for factor in real_factors(*args, **kwargs):
+            yield 1.001 * factor
+
+    monkeypatch.setattr(ringnet.simulate, "scenario_step_factors", inflated_factors)
+    motif = MotifParams(n_couplers=4, theta=np.pi / 4, phi=np.pi / 4)
+    sc = Scenario(kind="pure", motif=motif, depth=3, seed=0)
+    with pytest.raises(NonUnitaryError):
+        run_ensemble(sc, 0, (3,), runs=2)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "numerical failure" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_exit_3_on_unwritable_out_dir(tmp_path, capsys):

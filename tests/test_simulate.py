@@ -19,7 +19,6 @@ from ringnet.simulate import (
     Distribution,
     circular_displacements,
     circular_variance,
-    initial_state,
     output_distribution,
     propagate,
     run_ensemble,
@@ -78,14 +77,6 @@ def test_ipr_extremes():
 
 
 # ---------------------------------------------------------------- propagation
-
-
-def test_initial_state_is_basis_vector():
-    v = initial_state(6, 2)
-    assert v.dtype == np.complex128
-    np.testing.assert_array_equal(v, np.eye(6)[2])
-    with pytest.raises(ValueError):
-        initial_state(6, 6)
 
 
 def test_propagate_identity_keeps_the_delta():
