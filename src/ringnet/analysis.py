@@ -10,11 +10,13 @@ the diagonal does the effective generator reach?
 from __future__ import annotations
 
 import enum
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, eig_unitary, principal_log_unitary
+from .linalg import BranchCutWarning, as_matrix, branch_cut_count, eig_unitary
+from .linalg import principal_log_unitary
 from .simulate import Distribution, circular_displacements
 
 LOG10_E = float(np.log10(np.e))
@@ -186,29 +188,37 @@ def band_mass_profile(h) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """Eigen-level localization summary of one unitary transfer matrix."""
+    """Eigen-level localization summary of one unitary transfer matrix.
+
+    branch_cut_count counts the eigenphases within ``BRANCH_CUT_TOL`` of +/-pi.
+    """
 
     eigenphases: np.ndarray
     eigenvector_ipr: np.ndarray
     eigenvector_ipr_mean: float
     band_fractions: np.ndarray
+    branch_cut_count: int
 
 
 def eigenvector_localization(w, depth: int = 1) -> SpectralReport:
     """Eigenphases, per-eigenvector IPR, and the generator's band profile.
 
     Eigenphases come out sorted ascending with the IPR array in matching
-    order. The band profile is taken on the effective per-step generator.
+    order. The band profile is taken on the effective per-step generator;
+    eigenphases on the log's branch cut are counted, not warned about.
     """
     w = as_matrix(w)
     dec = eig_unitary(w)
     phases = np.angle(dec.eigenvalues)
     iprs = np.sum(np.abs(dec.eigenvectors) ** 4, axis=0)
     order = np.argsort(phases, kind="stable")
-    h = effective_hamiltonian(w, depth)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BranchCutWarning)
+        h = effective_hamiltonian(w, depth)
     return SpectralReport(
         eigenphases=phases[order],
         eigenvector_ipr=iprs[order],
         eigenvector_ipr_mean=float(iprs.mean()),
         band_fractions=band_mass_profile(h),
+        branch_cut_count=branch_cut_count(phases),
     )

@@ -13,7 +13,7 @@ run that fails on its config or numerically leaves at most an empty output
 directory.
 
 Exit codes: 0 success, 1 config problem or usage error, 2 numerical failure,
-3 I/O failure.
+3 I/O failure. Any other exception is a bug and ends with a traceback.
 All result files are deterministic byte for byte given the same config and
 the same BLAS thread count. Only ``spectral.json`` depends on that count: its
 Schur decompositions can move in the last digits between thread counts.
@@ -27,13 +27,13 @@ import json
 import math
 import os
 import sys
-import warnings
 
 import numpy as np
 
-from .analysis import RegimeVerdict, classify, eigenvector_localization
+from .analysis import InsufficientSupportError, RegimeVerdict, classify
+from .analysis import eigenvector_localization
 from .config import ConfigError, RunConfig, effective_config, load_config, parse_config
-from .linalg import BranchCutWarning, ConvergenceError, NonUnitaryError
+from .linalg import ConvergenceError, NonUnitaryError
 from .network import ScenarioKind, compose, disordered_motif
 from .simulate import DepthSample, Distribution, run_ensemble
 
@@ -113,44 +113,48 @@ def _fit_payload(fit) -> dict:
     }
 
 
-def _verdict_payload(
-    verdict: RegimeVerdict, sample: DepthSample, cfg: RunConfig, alpha=None
-) -> dict:
-    """Contents of one verdict file; scan-alpha's strength goes after ``fits``."""
-    ratio = verdict.ssr_ratio if math.isfinite(verdict.ssr_ratio) else None
-    payload = {
-        "depth": sample.depth,
-        "runs": cfg.runs,
-        "input_port": cfg.input_port,
-        "regime": verdict.regime.value,
-        "ssr_ratio": ratio,
-        "localization_length": verdict.localization_length,
-        "fits": {
-            "gaussian": _fit_payload(verdict.gaussian),
-            "exponential": _fit_payload(verdict.exponential),
-        },
-    }
-    if alpha is not None:
-        payload["alpha"] = float(alpha)
-    payload["variance"] = sample.variance
-    payload["ipr"] = sample.ipr
-    payload["realization_ipr_mean"] = sample.realization_ipr_mean
-    return payload
+def _sample_files(
+    cfg: RunConfig, sample: DepthSample, tag: str, verdict: RegimeVerdict | None, alpha=None
+) -> dict[str, str]:
+    """``dist_<tag>.csv`` and ``verdict_<tag>.json`` of one sample, as emitted.
+
+    ``verdict`` is read only when fits are emitted; scan-alpha's strength goes
+    after ``fits`` in the verdict file.
+    """
+    files = {}
+    if "distributions" in cfg.emit:
+        files[f"dist_{tag}.csv"] = distribution_csv(sample.distribution, cfg.fit_floor)
+    if "fits" in cfg.emit:
+        ratio = verdict.ssr_ratio if math.isfinite(verdict.ssr_ratio) else None
+        payload = {
+            "depth": sample.depth,
+            "runs": cfg.runs,
+            "input_port": cfg.input_port,
+            "regime": verdict.regime.value,
+            "ssr_ratio": ratio,
+            "localization_length": verdict.localization_length,
+            "fits": {
+                "gaussian": _fit_payload(verdict.gaussian),
+                "exponential": _fit_payload(verdict.exponential),
+            },
+        }
+        if alpha is not None:
+            payload["alpha"] = float(alpha)
+        payload["variance"] = sample.variance
+        payload["ipr"] = sample.ipr
+        payload["realization_ipr_mean"] = sample.realization_ipr_mean
+        files[f"verdict_{tag}.json"] = render_json(payload)
+    return files
 
 
 def cmd_simulate(cfg: RunConfig) -> dict[str, str]:
     result = run_ensemble(cfg.scenario, cfg.input_index, cfg.depths, cfg.runs)
     files = {}
     for sample in result.samples:
-        if "distributions" in cfg.emit:
-            files[f"dist_M{sample.depth}.csv"] = distribution_csv(
-                sample.distribution, cfg.fit_floor
-            )
-        if "fits" in cfg.emit:
+        verdict = None
+        if "fits" in cfg.emit:  # fit only the verdicts that are written
             verdict = classify(sample.distribution, cfg.thresholds, cfg.fit_floor)
-            files[f"verdict_M{sample.depth}.json"] = render_json(
-                _verdict_payload(verdict, sample, cfg)
-            )
+        files.update(_sample_files(cfg, sample, f"M{sample.depth}", verdict))
 
     if "variance_trace" in cfg.emit:
         lines = ["depth,variance,ipr"]
@@ -192,14 +196,7 @@ def cmd_scan_alpha(cfg: RunConfig) -> dict[str, str]:
         )
         sample = result.final
         verdict = classify(sample.distribution, cfg.thresholds, cfg.fit_floor)
-        if "distributions" in cfg.emit:
-            files[f"dist_alpha{idx}.csv"] = distribution_csv(
-                sample.distribution, cfg.fit_floor
-            )
-        if "fits" in cfg.emit:
-            files[f"verdict_alpha{idx}.json"] = render_json(
-                _verdict_payload(verdict, sample, cfg, alpha)
-            )
+        files.update(_sample_files(cfg, sample, f"alpha{idx}", verdict, alpha))
         ratio_field = (
             format(verdict.ssr_ratio, ".17g")
             if math.isfinite(verdict.ssr_ratio)
@@ -215,15 +212,10 @@ def cmd_scan_alpha(cfg: RunConfig) -> dict[str, str]:
 
 
 def _spectral_section(w: np.ndarray, depth: int) -> dict:
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        report = eigenvector_localization(w, depth)
-    branch_hits = sum(
-        1 for c in caught if issubclass(c.category, BranchCutWarning)
-    )
+    report = eigenvector_localization(w, depth)
     return {
         "eigenvector_ipr_mean": report.eigenvector_ipr_mean,
-        "branch_cut_count": branch_hits,
+        "branch_cut_count": report.branch_cut_count,
         "eigenphases": report.eigenphases,
         "eigenvector_ipr": report.eigenvector_ipr,
         "band_fractions": report.band_fractions,
@@ -287,7 +279,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (ConvergenceError, NonUnitaryError, ValueError) as exc:
+    except (ConvergenceError, NonUnitaryError, InsufficientSupportError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -27,33 +27,6 @@ DEFAULT_EMIT = ("distributions", "fits", "variance_trace")
 
 EMIT_CHOICES = frozenset(DEFAULT_EMIT) | {"spectral"}
 
-_SCENARIO_KEYS = frozenset(
-    {
-        "kind",
-        "n_couplers",
-        "theta",
-        "phi",
-        "alpha_fixed",
-        "alpha_layer",
-        "motif_internal_phases",
-        "seed",
-    }
-)
-_TOP_KEYS = frozenset(
-    {
-        "scenario",
-        "depths",
-        "input_port",
-        "runs",
-        "emit",
-        "fit_floor",
-        "thresholds",
-        "alphas",
-        "output",
-    }
-)
-
-
 class ConfigError(ValueError):
     """A config entry is missing, mistyped, or out of range.
 
@@ -134,54 +107,52 @@ def load_config(path: str) -> dict:
 def parse_config(data, seed_override=None, runs_override=None) -> RunConfig:
     """Validate a config mapping into a RunConfig, applying CLI overrides.
 
+    Each block is read from a copy that loses every key as it is read, so a
+    key still there once the block's known keys have been checked is unknown.
     Overrides replace the file's seed and runs before any range checks, so an
     out-of-range override fails the same way an out-of-range file entry does.
     """
-    data = _expect_mapping(data, "<config>")
-    for key in data:
-        if key not in _TOP_KEYS:
-            raise ConfigError(key, "unknown key")
-
+    data = dict(_expect_mapping(data, "<config>"))
     if "scenario" not in data:
         raise ConfigError("scenario", "required key is missing")
-    raw = _expect_mapping(data["scenario"], "scenario")
-    for key in raw:
-        if key not in _SCENARIO_KEYS:
-            raise ConfigError(f"scenario.{key}", "unknown key")
+    raw = dict(_expect_mapping(data.pop("scenario"), "scenario"))
     if "kind" not in raw:
         raise ConfigError("scenario.kind", "required key is missing")
-    if not isinstance(raw["kind"], str):
-        raise ConfigError("scenario.kind", f"expected a string, got {raw['kind']!r}")
+    kind_name = raw.pop("kind")
+    if not isinstance(kind_name, str):
+        raise ConfigError("scenario.kind", f"expected a string, got {kind_name!r}")
     try:
-        kind = ScenarioKind(raw["kind"])
+        kind = ScenarioKind(kind_name)
     except ValueError:
         choices = ", ".join(k.value for k in ScenarioKind)
         raise ConfigError(
-            "scenario.kind", f"unknown kind {raw['kind']!r}; choose from {choices}"
+            "scenario.kind", f"unknown kind {kind_name!r}; choose from {choices}"
         ) from None
 
     n_couplers = _expect_int(
-        raw.get("n_couplers", DEFAULT_N_COUPLERS), "scenario.n_couplers", minimum=2
+        raw.pop("n_couplers", DEFAULT_N_COUPLERS), "scenario.n_couplers", minimum=2
     )
-    theta = _expect_float(raw.get("theta", DEFAULT_THETA), "scenario.theta")
-    phi = _expect_float(raw.get("phi", DEFAULT_PHI), "scenario.phi")
+    theta = _expect_float(raw.pop("theta", DEFAULT_THETA), "scenario.theta")
+    phi = _expect_float(raw.pop("phi", DEFAULT_PHI), "scenario.phi")
     alpha_fixed = _expect_float(
-        raw.get("alpha_fixed", 0.0), "scenario.alpha_fixed", low=0.0, high=TWO_PI
+        raw.pop("alpha_fixed", 0.0), "scenario.alpha_fixed", low=0.0, high=TWO_PI
     )
     alpha_layer = _expect_float(
-        raw.get("alpha_layer", 0.0), "scenario.alpha_layer", low=0.0, high=TWO_PI
+        raw.pop("alpha_layer", 0.0), "scenario.alpha_layer", low=0.0, high=TWO_PI
     )
     internal = _expect_bool(
-        raw.get("motif_internal_phases", True), "scenario.motif_internal_phases"
+        raw.pop("motif_internal_phases", True), "scenario.motif_internal_phases"
     )
-    seed = raw.get("seed", DEFAULT_SEED)
+    seed = raw.pop("seed", DEFAULT_SEED)
     if seed_override is not None:
         seed = seed_override
     seed = _expect_int(seed, "scenario.seed", minimum=0)
+    if raw:
+        raise ConfigError(f"scenario.{next(iter(raw))}", "unknown key")
 
     if "depths" not in data:
         raise ConfigError("depths", "required key is missing")
-    raw_depths = data["depths"]
+    raw_depths = data.pop("depths")
     if not isinstance(raw_depths, list) or not raw_depths:
         raise ConfigError("depths", "expected a nonempty array of step counts")
     depths = tuple(
@@ -205,7 +176,7 @@ def parse_config(data, seed_override=None, runs_override=None) -> RunConfig:
         raise ConfigError("scenario", str(exc)) from exc
 
     input_port = _expect_int(
-        data.get("input_port", n_couplers), "input_port", minimum=1
+        data.pop("input_port", n_couplers), "input_port", minimum=1
     )
     if input_port > scenario.n_modes:
         raise ConfigError(
@@ -213,12 +184,12 @@ def parse_config(data, seed_override=None, runs_override=None) -> RunConfig:
             f"must be at most {scenario.n_modes} for this ring, got {input_port}",
         )
 
-    runs = data.get("runs", DEFAULT_RUNS)
+    runs = data.pop("runs", DEFAULT_RUNS)
     if runs_override is not None:
         runs = runs_override
     runs = _expect_int(runs, "runs", minimum=1)
 
-    raw_emit = data.get("emit", list(DEFAULT_EMIT))
+    raw_emit = data.pop("emit", list(DEFAULT_EMIT))
     if not isinstance(raw_emit, list):
         raise ConfigError("emit", f"expected an array, got {type(raw_emit).__name__}")
     emit = []
@@ -232,12 +203,12 @@ def parse_config(data, seed_override=None, runs_override=None) -> RunConfig:
             emit.append(name)
 
     fit_floor = _expect_float(
-        data.get("fit_floor", DEFAULT_FIT_FLOOR), "fit_floor", low=0.0
+        data.pop("fit_floor", DEFAULT_FIT_FLOOR), "fit_floor", low=0.0
     )
     if fit_floor >= 1.0:
         raise ConfigError("fit_floor", f"must be below 1, got {fit_floor}")
 
-    raw_thresholds = data.get("thresholds", list(DEFAULT_THRESHOLDS))
+    raw_thresholds = data.pop("thresholds", list(DEFAULT_THRESHOLDS))
     if not isinstance(raw_thresholds, list) or len(raw_thresholds) != 2:
         raise ConfigError("thresholds", "expected an array of two ratio bounds")
     low = _expect_float(raw_thresholds[0], "thresholds[0]")
@@ -247,7 +218,7 @@ def parse_config(data, seed_override=None, runs_override=None) -> RunConfig:
 
     alphas = None
     if "alphas" in data:
-        raw_alphas = data["alphas"]
+        raw_alphas = data.pop("alphas")
         if not isinstance(raw_alphas, list) or not raw_alphas:
             raise ConfigError("alphas", "expected a nonempty array of strengths")
         alphas = tuple(
@@ -255,9 +226,11 @@ def parse_config(data, seed_override=None, runs_override=None) -> RunConfig:
             for i, a in enumerate(raw_alphas)
         )
 
-    output = data.get("output")
+    output = data.pop("output", None)
     if output is not None and not isinstance(output, str):
         raise ConfigError("output", f"expected a string path, got {output!r}")
+    if data:
+        raise ConfigError(next(iter(data)), "unknown key")
 
     return RunConfig(
         scenario=scenario,

@@ -83,6 +83,11 @@ def eig_unitary(a) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=np.diag(t).copy(), eigenvectors=z)
 
 
+def branch_cut_count(phases) -> int:
+    """Number of eigenphases within ``BRANCH_CUT_TOL`` of the +/-pi cut."""
+    return int(np.count_nonzero(np.abs(np.pi - np.abs(phases)) < BRANCH_CUT_TOL))
+
+
 def principal_log_unitary(a) -> np.ndarray:
     """Hermitian generator H with exp(iH) = a.
 
@@ -93,7 +98,7 @@ def principal_log_unitary(a) -> np.ndarray:
     """
     dec = eig_unitary(a)
     phases = np.angle(dec.eigenvalues)
-    near_cut = int(np.count_nonzero(np.abs(np.pi - np.abs(phases)) < BRANCH_CUT_TOL))
+    near_cut = branch_cut_count(phases)
     if near_cut:
         warnings.warn(
             f"{near_cut} eigenphase(s) within {BRANCH_CUT_TOL:.0e} of the +/-pi "

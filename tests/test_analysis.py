@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from ringnet.analysis import (
     eigenvector_localization,
     fit_profile,
 )
+from ringnet.linalg import BranchCutWarning
 from ringnet.network import MotifParams, Scenario, build_motif, compose, disordered_motif
 from ringnet.simulate import Distribution, circular_displacements
 
@@ -258,6 +260,14 @@ def test_eigenvector_localization_of_distinct_phase_diagonal():
     assert (np.diff(report.eigenphases) >= 0).all()
     assert report.eigenphases.min() > -np.pi
     assert report.eigenphases.max() <= np.pi
+
+
+def test_eigenvector_localization_counts_branch_cut_phases_without_warning():
+    w = np.diag(np.exp(1j * np.array([np.pi, -np.pi + 1e-8, 0.3, np.pi - 1e-3])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", BranchCutWarning)
+        report = eigenvector_localization(w)
+    assert report.branch_cut_count == 2
 
 
 def test_eigenvector_localization_bounds():

@@ -274,6 +274,16 @@ def test_spectrum_output_shape(tmp_path):
         assert sec["band_fractions"][-1] == 1.0
 
 
+def test_spectrum_counts_every_eigenphase_on_the_branch_cut(tmp_path):
+    # two balanced steps of the two-coupler ring have eigenvalues 1, 1, -1, -1
+    cfg = write_config(tmp_path, scenario={"kind": "pure", "n_couplers": 2}, depths=[2])
+    out = tmp_path / "spec"
+    assert main(["spectrum", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    payload = json.loads((out / "spectral.json").read_text())
+    assert payload["single_step"]["branch_cut_count"] == 0
+    assert payload["full_product"]["branch_cut_count"] == 2
+
+
 def test_spectrum_reruns_byte_identical(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -331,6 +341,16 @@ def test_exit_2_on_non_unitary_step_factors(tmp_path, monkeypatch, capsys):
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
     assert "numerical failure" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+def test_other_exceptions_are_bugs_not_numerical_failures(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("a programming error")
+
+    monkeypatch.setattr(ringnet.cli, "run_ensemble", broken)
+    cfg = write_config(tmp_path)
+    with pytest.raises(ValueError, match="a programming error"):
+        main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
 
 
 def test_exit_3_on_unwritable_out_dir(tmp_path, capsys):

@@ -72,6 +72,19 @@ def test_unknown_keys_rejected_with_paths():
     assert "scenario.mystery" in str(err.value)
 
 
+def test_known_keys_are_checked_before_unknown_ones():
+    with pytest.raises(ConfigError) as err:
+        parse_config(minimal(mystery=1, theta="wide"))
+    assert err.value.key == "scenario.theta"
+    with pytest.raises(ConfigError) as err:
+        parse_config({**minimal(), "mystery": 1, "runs": 0})
+    assert err.value.key == "runs"
+    # the keys are taken from copies: the caller's mapping stays whole
+    data = {**minimal(theta=0.5), "runs": 3}
+    parse_config(data)
+    assert data == {**minimal(theta=0.5), "runs": 3}
+
+
 def test_depths_must_be_strictly_increasing():
     with pytest.raises(ConfigError) as err:
         parse_config({"scenario": {"kind": "pure"}, "depths": [4, 4]})

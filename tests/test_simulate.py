@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -275,6 +277,33 @@ def test_ensemble_validates_depths_and_runs():
         run_ensemble(sc, 9, depths=(4, 8), runs=0)
     with pytest.raises(ValueError):
         run_ensemble(sc, 40, depths=(8,), runs=5)
+
+
+def test_ensemble_peak_memory_does_not_grow_with_runs():
+    sc = Scenario(
+        kind="fully-random", motif=balanced(20), depth=10, seed=0, alpha_layer=TWO_PI
+    )
+
+    def peak(runs):
+        tracemalloc.start()
+        try:
+            run_ensemble(sc, 19, depths=(10,), runs=runs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # CPython keeps up to 2000 freed tuples of each size for reuse, and
+    # numpy's roll and kron leave a few more there on every motif build until
+    # that cap is reached (about 110 KB, whatever the run count). The warm-up
+    # fills those free lists; a full collection would empty them again, so
+    # the collector stays off until the peaks are taken.
+    gc.disable()
+    try:
+        run_ensemble(sc, 19, depths=(10,), runs=1024)
+        small, large = peak(2), peak(256)
+    finally:
+        gc.enable()
+    assert large <= 1.25 * small, (small, large)
 
 
 def test_master_seed_override_changes_realizations():
