@@ -208,9 +208,9 @@ def eigenvector_localization(w, depth: int = 1) -> SpectralReport:
     eigenphases on the log's branch cut are counted, not warned about.
     """
     w = as_matrix(w)
-    dec = eig_unitary(w)
-    phases = np.angle(dec.eigenvalues)
-    iprs = np.sum(np.abs(dec.eigenvectors) ** 4, axis=0)
+    eigenvalues, eigenvectors = eig_unitary(w)
+    phases = np.angle(eigenvalues)
+    iprs = np.sum(np.abs(eigenvectors) ** 4, axis=0)
     order = np.argsort(phases, kind="stable")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BranchCutWarning)

@@ -14,9 +14,11 @@ directory.
 
 Exit codes: 0 success, 1 config problem or usage error, 2 numerical failure,
 3 I/O failure. Any other exception is a bug and ends with a traceback.
-All result files are deterministic byte for byte given the same config and
-the same BLAS thread count. Only ``spectral.json`` depends on that count: its
-Schur decompositions can move in the last digits between thread counts.
+Numbers are written as Python's shortest round-trip float text, so each one
+parses back to the exact double that was computed. All result files are
+deterministic byte for byte given the same config and the same BLAS thread
+count. Only ``spectral.json`` depends on that count: its Schur decompositions
+can move in the last digits between thread counts.
 """
 
 from __future__ import annotations
@@ -38,47 +40,23 @@ from .network import ScenarioKind, compose, disordered_motif
 from .simulate import DepthSample, Distribution, run_ensemble
 
 
-def _json_value(value, indent: int) -> str:
-    pad = "  " * indent
-    if value is None:
-        return "null"
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        x = float(value)
-        if not math.isfinite(x):
-            raise ValueError(f"cannot serialize non-finite number {x!r}")
-        return format(x, ".17g")
-    if isinstance(value, str):
-        return json.dumps(value, ensure_ascii=True)
+def _plain(value):
+    """``json.dumps`` fallback: numpy arrays to lists, numpy scalars to Python."""
     if isinstance(value, np.ndarray):
-        value = value.tolist()
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = ",\n".join(
-            f"{pad}  {json.dumps(str(k))}: {_json_value(v, indent + 1)}"
-            for k, v in value.items()
-        )
-        return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if len(value) == 0:
-            return "[]"
-        inner = ",\n".join(f"{pad}  {_json_value(v, indent + 1)}" for v in value)
-        return "[\n" + inner + "\n" + pad + "]"
+        return value.tolist()
+    if isinstance(value, np.generic):
+        return value.item()
     raise TypeError(f"cannot serialize {type(value).__name__} to JSON")
 
 
 def render_json(value) -> str:
-    """Serialize to JSON with stable key order and 17-significant-digit floats.
+    """Serialize to JSON with two-space indent and the mapping's own key order.
 
-    The stdlib encoder ties float text to repr shortest-round-trip rules;
-    pinning the format here keeps output files byte-identical across Python
-    versions, which the reproducibility checks rely on.
+    Floats are written as Python's shortest round-trip text, so every number
+    parses back to the exact double that was computed; non-finite numbers
+    raise ``ValueError``.
     """
-    return _json_value(value, 0) + "\n"
+    return json.dumps(value, indent=2, allow_nan=False, default=_plain) + "\n"
 
 
 def _write_text(path: str, text: str, quiet: bool):
@@ -97,10 +75,9 @@ def distribution_csv(dist: Distribution, floor: float) -> str:
     """
     lines = ["port,probability,log10_probability"]
     for i, p in enumerate(dist.probabilities):
-        log_field = format(math.log10(p), ".17g") if p > floor else ""
-        lines.append(f"{i + 1},{format(p, '.17g')},{log_field}")
-    total = float(dist.probabilities.sum())
-    lines.append(f"# sum={format(total, '.17g')}")
+        log_field = repr(math.log10(p)) if p > floor else ""
+        lines.append(f"{i + 1},{float(p)!r},{log_field}")
+    lines.append(f"# sum={float(dist.probabilities.sum())!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -159,10 +136,7 @@ def cmd_simulate(cfg: RunConfig) -> dict[str, str]:
     if "variance_trace" in cfg.emit:
         lines = ["depth,variance,ipr"]
         for sample in result.samples:
-            lines.append(
-                f"{sample.depth},{format(sample.variance, '.17g')},"
-                f"{format(sample.ipr, '.17g')}"
-            )
+            lines.append(f"{sample.depth},{float(sample.variance)!r},{float(sample.ipr)!r}")
         files["variance_trace.csv"] = "\n".join(lines) + "\n"
 
     if "spectral" in cfg.emit:
@@ -197,14 +171,9 @@ def cmd_scan_alpha(cfg: RunConfig) -> dict[str, str]:
         sample = result.final
         verdict = classify(sample.distribution, cfg.thresholds, cfg.fit_floor)
         files.update(_sample_files(cfg, sample, f"alpha{idx}", verdict, alpha))
-        ratio_field = (
-            format(verdict.ssr_ratio, ".17g")
-            if math.isfinite(verdict.ssr_ratio)
-            else ""
-        )
+        ratio_field = repr(verdict.ssr_ratio) if math.isfinite(verdict.ssr_ratio) else ""
         summary.append(
-            f"{format(float(alpha), '.17g')},{format(sample.ipr, '.17g')},"
-            f"{ratio_field},{verdict.regime.value}"
+            f"{float(alpha)!r},{float(sample.ipr)!r},{ratio_field},{verdict.regime.value}"
         )
 
     files["scan_summary.csv"] = "\n".join(summary) + "\n"

@@ -93,13 +93,25 @@ def _expect_bool(value, key):
     return value
 
 
+def _unique_keys(pairs) -> dict:
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError("<config>", f"key {key!r} appears twice in one object")
+        data[key] = value
+    return data
+
+
 def load_config(path: str) -> dict:
-    """Read a JSON config file; malformed JSON is a config error, not I/O."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """Read a JSON config file.
+
+    Text that is not UTF-8, malformed JSON and a key repeated within one
+    object are config errors, not I/O errors.
+    """
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.loads(fh.read(), object_pairs_hook=_unique_keys)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError("<config>", f"invalid JSON in {path}: {exc}") from exc
     return _expect_mapping(data, "<config>")
 

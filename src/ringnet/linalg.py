@@ -8,7 +8,6 @@ at entry instead of wrapping arrays in dedicated types.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -47,16 +46,8 @@ def unitarity_defect(a) -> float:
     return float(np.abs(gram).max())
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Unit-modulus eigenvalues and orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def eig_unitary(a) -> EigenDecomposition:
-    """Eigendecomposition of a unitary matrix with orthonormal eigenvectors.
+def eig_unitary(a) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-modulus eigenvalues and orthonormal eigenvector columns of a unitary.
 
     Uses the complex Schur form: for a unitary input the triangular factor is
     diagonal, so the Schur vectors are an orthonormal eigenbasis and the
@@ -80,7 +71,7 @@ def eig_unitary(a) -> EigenDecomposition:
         t, z = scipy.linalg.schur(a, output="complex")
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"Schur iteration did not converge: {exc}") from exc
-    return EigenDecomposition(eigenvalues=np.diag(t).copy(), eigenvectors=z)
+    return np.diag(t).copy(), z
 
 
 def branch_cut_count(phases) -> int:
@@ -96,8 +87,8 @@ def principal_log_unitary(a) -> np.ndarray:
     because the branch choice is numerically ambiguous there; the result is
     still returned.
     """
-    dec = eig_unitary(a)
-    phases = np.angle(dec.eigenvalues)
+    eigenvalues, v = eig_unitary(a)
+    phases = np.angle(eigenvalues)
     near_cut = branch_cut_count(phases)
     if near_cut:
         warnings.warn(
@@ -106,6 +97,5 @@ def principal_log_unitary(a) -> np.ndarray:
             BranchCutWarning,
             stacklevel=2,
         )
-    v = dec.eigenvectors
     h = (v * phases) @ v.conj().T
     return (h + h.conj().T) / 2.0

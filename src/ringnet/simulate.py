@@ -148,8 +148,6 @@ class DepthSample:
 class EnsembleResult:
     """Mean distributions over disorder realizations at each requested depth."""
 
-    scenario: Scenario
-    runs: int
     samples: tuple[DepthSample, ...]
 
     @property
@@ -217,4 +215,4 @@ def run_ensemble(
                 realization_ipr_mean=ipr_sums[d] / runs,
             )
         )
-    return EnsembleResult(scenario=scenario, runs=runs, samples=tuple(samples))
+    return EnsembleResult(samples=tuple(samples))

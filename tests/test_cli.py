@@ -9,10 +9,11 @@ import pytest
 
 import ringnet.cli
 import ringnet.simulate
-from ringnet.analysis import InsufficientSupportError
+from ringnet.analysis import InsufficientSupportError, classify, eigenvector_localization
 from ringnet.cli import distribution_csv, main, render_json
+from ringnet.config import load_config, parse_config
 from ringnet.linalg import NonUnitaryError
-from ringnet.network import MotifParams, Scenario, compose
+from ringnet.network import MotifParams, Scenario, compose, disordered_motif
 from ringnet.simulate import propagate, run_ensemble
 
 TWO_PI = 6.283185307179586
@@ -38,7 +39,9 @@ def read_all(out_dir):
 
 
 def test_render_json_pins_float_text():
-    assert render_json({"x": 0.1}) == '{\n  "x": 0.10000000000000001\n}\n'
+    # shortest round-trip text: each number parses back to the same double
+    for x, text in ((0.1, "0.1"), (1.0, "1.0"), (1e-12, "1e-12"), (-0.0, "-0.0")):
+        assert render_json({"x": x}) == '{\n  "x": ' + text + '\n}\n'
     assert render_json([1, None, True]) == '[\n  1,\n  null,\n  true\n]\n'
     assert render_json({}) == "{}\n"
 
@@ -49,8 +52,11 @@ def test_render_json_rejects_non_finite():
 
 
 def test_render_json_handles_numpy_scalars_and_arrays():
-    out = render_json({"v": np.array([1.5]), "n": np.int64(3), "b": np.bool_(False)})
+    out = render_json(
+        {"v": np.array([1.5]), "n": np.int64(3), "b": np.bool_(False), "f": np.float64(0.1)}
+    )
     assert '"v": [\n    1.5\n  ]' in out
+    assert '"f": 0.1' in out
     assert '"n": 3' in out
     assert '"b": false' in out
 
@@ -265,7 +271,7 @@ def test_spectrum_output_shape(tmp_path):
         assert len(sec["eigenphases"]) == 40
         assert len(sec["eigenvector_ipr"]) == 40
         phases = np.array(sec["eigenphases"])
-        # the 17-digit text round-trip can land a phase exactly on -pi
+        # np.angle's range is [-pi, pi] and the file text parses back exactly
         assert phases.min() >= -math.pi
         assert phases.max() <= math.pi
         assert (np.diff(phases) >= 0).all()
@@ -296,6 +302,49 @@ def test_spectrum_reruns_byte_identical(tmp_path):
     assert read_all(a) == read_all(b)
 
 
+def test_written_numbers_parse_back_to_the_computed_doubles(tmp_path):
+    path = write_config(tmp_path, depths=[2, 6], runs=5)
+    cfg = parse_config(load_config(str(path)))
+    sim, spec = tmp_path / "sim", tmp_path / "spec"
+    assert main(["simulate", "--config", str(path), "--out", str(sim), "--quiet"]) == 0
+    assert main(["spectrum", "--config", str(path), "--out", str(spec), "--quiet"]) == 0
+
+    result = run_ensemble(cfg.scenario, cfg.input_index, cfg.depths, cfg.runs)
+    trace = (sim / "variance_trace.csv").read_text().splitlines()[1:]
+    for sample, row in zip(result.samples, trace, strict=True):
+        probs = sample.distribution.probabilities
+        rows = [ln.split(",") for ln in (sim / f"dist_M{sample.depth}.csv").read_text().splitlines()]
+        assert [float(r[1]) for r in rows[1:-1]] == probs.tolist()
+        assert [float(r[2]) for r in rows[1:-1] if r[2]] == [
+            math.log10(p) for p in probs if p > cfg.fit_floor
+        ]
+        assert [float(x) for x in row.split(",")] == [sample.depth, sample.variance, sample.ipr]
+
+        verdict = json.loads((sim / f"verdict_M{sample.depth}.json").read_text())
+        expected = classify(sample.distribution, cfg.thresholds, cfg.fit_floor)
+        for name, fit in (("gaussian", expected.gaussian), ("exponential", expected.exponential)):
+            assert verdict["fits"][name]["decay"] == fit.decay
+            assert verdict["fits"][name]["ssr"] == fit.ssr
+        assert verdict["variance"] == sample.variance
+        assert verdict["ipr"] == sample.ipr
+        assert verdict["realization_ipr_mean"] == sample.realization_ipr_mean
+
+    spectral = json.loads((spec / "spectral.json").read_text())
+    for section, w, depth in (
+        ("single_step", disordered_motif(cfg.scenario), 1),
+        ("full_product", compose(cfg.scenario), cfg.scenario.depth),
+    ):
+        report = eigenvector_localization(w, depth)
+        assert spectral[section]["eigenphases"] == report.eigenphases.tolist()
+        assert spectral[section]["eigenvector_ipr"] == report.eigenvector_ipr.tolist()
+        assert spectral[section]["band_fractions"] == report.band_fractions.tolist()
+        assert spectral[section]["eigenvector_ipr_mean"] == report.eigenvector_ipr_mean
+
+    for out in (sim, spec):
+        for name, text in read_all(out).items():
+            assert b"np." not in text, name
+
+
 # ----------------------------------------------------------------- exit codes
 
 
@@ -304,6 +353,16 @@ def test_exit_1_on_bad_config(tmp_path, capsys):
     bad.write_text(json.dumps({"scenario": {"kind": "pure"}, "depths": [1], "zzz": 1}))
     assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
     assert "zzz" in capsys.readouterr().err
+
+
+def test_exit_1_on_config_that_is_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe" + json.dumps({"scenario": {"kind": "pure"}}).encode("utf-16-le"))
+    out = tmp_path / "o"
+    out.mkdir()
+    assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_exit_1_on_missing_config_flag(capsys):

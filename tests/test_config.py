@@ -196,6 +196,21 @@ def test_load_config_errors(tmp_path):
         load_config(str(tmp_path / "missing.json"))
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"scenario": {"kind": "pure"}, "depths": [1], "runs": 5, "runs": 1}', "runs"),
+        ('{"scenario": {"kind": "pure", "seed": 1, "seed": 2}, "depths": [1]}', "seed"),
+    ],
+    ids=["top-level", "scenario"],
+)
+def test_repeated_key_rejected_at_any_depth(tmp_path, text, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        load_config(str(path))
+
+
 def test_top_level_must_be_an_object():
     with pytest.raises(ConfigError):
         parse_config([1, 2])
