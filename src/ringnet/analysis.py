@@ -22,7 +22,7 @@ from .simulate import Distribution, circular_displacements
 LOG10_E = float(np.log10(np.e))
 HERMITIAN_TOL = 1e-6
 DEFAULT_THRESHOLDS = (0.8, 1.25)
-DEFAULT_FLOOR = 1e-12
+DEFAULT_FIT_FLOOR = 1e-12
 
 
 class FitModel(str, enum.Enum):
@@ -46,10 +46,10 @@ class FitReport:
 
     The model is log10 p = amplitude_log - decay * x with x the squared
     displacement (gaussian) or the absolute displacement (exponential).
-    ssr is the sum of squared residuals in log10 space.
+    ssr is the sum of squared residuals in log10 space. The fields are the
+    keys of a verdict file's fit entry, in file order.
     """
 
-    model: FitModel
     amplitude_log: float
     decay: float
     ssr: float
@@ -59,7 +59,7 @@ class FitReport:
 def fit_profile(
     dist: Distribution,
     model: FitModel,
-    floor: float = DEFAULT_FLOOR,
+    floor: float = DEFAULT_FIT_FLOOR,
 ) -> FitReport:
     """Fit one decay model to the modes whose probability exceeds ``floor``.
 
@@ -90,7 +90,6 @@ def fit_profile(
     intercept = float(y.mean() - slope * x.mean())
     residuals = y - (intercept + slope * x)
     return FitReport(
-        model=model,
         amplitude_log=intercept,
         decay=-slope,
         ssr=float(residuals @ residuals),
@@ -117,7 +116,7 @@ class RegimeVerdict:
 def classify(
     dist: Distribution,
     thresholds=DEFAULT_THRESHOLDS,
-    floor: float = DEFAULT_FLOOR,
+    floor: float = DEFAULT_FIT_FLOOR,
 ) -> RegimeVerdict:
     """Call the transport regime of one mean distribution.
 
@@ -190,22 +189,25 @@ def band_mass_profile(h) -> np.ndarray:
 class SpectralReport:
     """Eigen-level localization summary of one unitary transfer matrix.
 
+    The fields are the keys of a ``spectral.json`` section, in file order.
     branch_cut_count counts the eigenphases within ``BRANCH_CUT_TOL`` of +/-pi.
     """
 
+    eigenvector_ipr_mean: float
+    branch_cut_count: int
     eigenphases: np.ndarray
     eigenvector_ipr: np.ndarray
-    eigenvector_ipr_mean: float
     band_fractions: np.ndarray
-    branch_cut_count: int
 
 
-def eigenvector_localization(w, depth: int = 1) -> SpectralReport:
+def eigenvector_localization(w) -> SpectralReport:
     """Eigenphases, per-eigenvector IPR, and the generator's band profile.
 
     Eigenphases come out sorted ascending with the IPR array in matching
-    order. The band profile is taken on the effective per-step generator;
-    eigenphases on the log's branch cut are counted, not warned about.
+    order. The band profile is taken on the principal log of ``w``: its
+    entries are fractions of the generator's total weight, so they are
+    scale-free and need no depth. Eigenphases on the log's branch cut are
+    counted, not warned about.
     """
     w = as_matrix(w)
     eigenvalues, eigenvectors = eig_unitary(w)
@@ -214,11 +216,11 @@ def eigenvector_localization(w, depth: int = 1) -> SpectralReport:
     order = np.argsort(phases, kind="stable")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BranchCutWarning)
-        h = effective_hamiltonian(w, depth)
+        h = principal_log_unitary(w)
     return SpectralReport(
+        eigenvector_ipr_mean=float(iprs.mean()),
+        branch_cut_count=branch_cut_count(phases),
         eigenphases=phases[order],
         eigenvector_ipr=iprs[order],
-        eigenvector_ipr_mean=float(iprs.mean()),
         band_fractions=band_mass_profile(h),
-        branch_cut_count=branch_cut_count(phases),
     )

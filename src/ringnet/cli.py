@@ -81,15 +81,6 @@ def distribution_csv(dist: Distribution, floor: float) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fit_payload(fit) -> dict:
-    return {
-        "amplitude_log": fit.amplitude_log,
-        "decay": fit.decay,
-        "ssr": fit.ssr,
-        "n_points": fit.n_points,
-    }
-
-
 def _sample_files(
     cfg: RunConfig, sample: DepthSample, tag: str, verdict: RegimeVerdict | None, alpha=None
 ) -> dict[str, str]:
@@ -111,8 +102,8 @@ def _sample_files(
             "ssr_ratio": ratio,
             "localization_length": verdict.localization_length,
             "fits": {
-                "gaussian": _fit_payload(verdict.gaussian),
-                "exponential": _fit_payload(verdict.exponential),
+                "gaussian": dataclasses.asdict(verdict.gaussian),
+                "exponential": dataclasses.asdict(verdict.exponential),
             },
         }
         if alpha is not None:
@@ -180,24 +171,17 @@ def cmd_scan_alpha(cfg: RunConfig) -> dict[str, str]:
     return files
 
 
-def _spectral_section(w: np.ndarray, depth: int) -> dict:
-    report = eigenvector_localization(w, depth)
-    return {
-        "eigenvector_ipr_mean": report.eigenvector_ipr_mean,
-        "branch_cut_count": report.branch_cut_count,
-        "eigenphases": report.eigenphases,
-        "eigenvector_ipr": report.eigenvector_ipr,
-        "band_fractions": report.band_fractions,
-    }
-
-
 def cmd_spectrum(cfg: RunConfig) -> dict[str, str]:
     scenario = cfg.scenario
     payload = {
         "n_modes": scenario.n_modes,
         "depth": scenario.depth,
-        "single_step": _spectral_section(disordered_motif(scenario), 1),
-        "full_product": _spectral_section(compose(scenario), scenario.depth),
+        "single_step": dataclasses.asdict(
+            eigenvector_localization(disordered_motif(scenario))
+        ),
+        "full_product": dataclasses.asdict(
+            eigenvector_localization(compose(scenario))
+        ),
     }
     return {"spectral.json": render_json(payload)}
 

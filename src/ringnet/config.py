@@ -12,8 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .analysis import DEFAULT_FLOOR as DEFAULT_FIT_FLOOR
-from .analysis import DEFAULT_THRESHOLDS
+from .analysis import DEFAULT_FIT_FLOOR, DEFAULT_THRESHOLDS
 from .network import TWO_PI, MotifParams, Scenario, ScenarioKind
 
 QUARTER_PI = math.pi / 4.0

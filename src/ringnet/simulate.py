@@ -155,20 +155,14 @@ class EnsembleResult:
         return self.samples[-1]
 
 
-def run_ensemble(
-    scenario: Scenario,
-    input_index: int,
-    depths,
-    runs: int,
-    master_seed: int | None = None,
-) -> EnsembleResult:
+def run_ensemble(scenario: Scenario, input_index: int, depths, runs: int) -> EnsembleResult:
     """Average output distributions over ``runs`` disorder realizations.
 
     depths must be strictly increasing with the last entry equal to
     scenario.depth, so every snapshot falls inside a single pass through the
-    step factors. Realization r draws from stream r of the master seed
-    (scenario.seed unless overridden) and realizations accumulate serially
-    in ascending order, so a run repeats bit for bit.
+    step factors. Realization r draws from stream r of scenario.seed and
+    realizations accumulate serially in ascending order, so a run repeats bit
+    for bit.
     """
     depths = tuple(int(d) for d in depths)
     if len(depths) == 0:
@@ -186,14 +180,12 @@ def run_ensemble(
     n = scenario.n_modes
     if not 0 <= input_index < n:
         raise ValueError(f"input_index {input_index} outside the mode range [0, {n})")
-    if master_seed is None:
-        master_seed = scenario.seed
 
     wanted = set(depths)
     sums = {d: np.zeros(n, dtype=np.float64) for d in depths}
     ipr_sums = {d: 0.0 for d in depths}
     for r in range(runs):
-        factors = scenario_step_factors(scenario, RngStream(master_seed, r))
+        factors = scenario_step_factors(scenario, RngStream(scenario.seed, r))
         w = np.eye(n, dtype=np.complex128)
         for step, factor in enumerate(factors, start=1):
             w = factor @ w

@@ -41,7 +41,6 @@ def test_fit_recovers_exact_gaussian():
     assert fit.decay == pytest.approx(0.05, abs=1e-12)
     assert fit.ssr < 1e-18
     assert fit.n_points == 41
-    assert fit.model is FitModel.GAUSSIAN
     # the default floor trims the far tail, leaving the decay untouched
     trimmed = fit_profile(dist, FitModel.GAUSSIAN)
     assert trimmed.n_points < 41
@@ -250,6 +249,23 @@ def test_band_profile_is_a_cumulative_mass(n, seed):
     assert out.min() >= 0.0
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=12),
+    st.floats(min_value=1e-3, max_value=1e3),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_band_profile_is_scale_free(n, c, seed):
+    # why eigenvector_localization needs no depth: dividing the generator by
+    # it leaves the profile unchanged up to round-off
+    gen = np.random.default_rng(seed)
+    z = gen.normal(size=(n, n)) + 1j * gen.normal(size=(n, n))
+    h = (z + z.conj().T) / 2
+    np.testing.assert_allclose(
+        band_mass_profile(c * h), band_mass_profile(h), rtol=0, atol=1e-14
+    )
+
+
 # ------------------------------------------------------ spectral localization
 
 
@@ -307,7 +323,7 @@ def test_full_product_generator_matches_single_step_before_wrapping():
     h_single = effective_hamiltonian(build_motif(sc.motif), 1)
     h_deep = effective_hamiltonian(compose(sc), 4)
     np.testing.assert_allclose(h_deep, h_single, atol=1e-8)
-    report = eigenvector_localization(compose(sc), depth=4)
+    report = eigenvector_localization(compose(sc))
     np.testing.assert_allclose(
         report.band_fractions, band_mass_profile(h_single), atol=1e-8
     )

@@ -330,11 +330,11 @@ def test_written_numbers_parse_back_to_the_computed_doubles(tmp_path):
         assert verdict["realization_ipr_mean"] == sample.realization_ipr_mean
 
     spectral = json.loads((spec / "spectral.json").read_text())
-    for section, w, depth in (
-        ("single_step", disordered_motif(cfg.scenario), 1),
-        ("full_product", compose(cfg.scenario), cfg.scenario.depth),
+    for section, w in (
+        ("single_step", disordered_motif(cfg.scenario)),
+        ("full_product", compose(cfg.scenario)),
     ):
-        report = eigenvector_localization(w, depth)
+        report = eigenvector_localization(w)
         assert spectral[section]["eigenphases"] == report.eigenphases.tolist()
         assert spectral[section]["eigenvector_ipr"] == report.eigenvector_ipr.tolist()
         assert spectral[section]["band_fractions"] == report.band_fractions.tolist()

@@ -306,11 +306,12 @@ def test_ensemble_peak_memory_does_not_grow_with_runs():
     assert large <= 1.25 * small, (small, large)
 
 
-def test_master_seed_override_changes_realizations():
+def test_scenario_seed_selects_the_realizations():
     sc = ensemble_scenario(depth=6)
     base = run_ensemble(sc, 9, depths=(6,), runs=10)
-    same = run_ensemble(sc, 9, depths=(6,), runs=10, master_seed=sc.seed)
-    other = run_ensemble(sc, 9, depths=(6,), runs=10, master_seed=sc.seed + 1)
+    same = run_ensemble(sc, 9, depths=(6,), runs=10)
+    reseeded = dataclasses.replace(sc, seed=sc.seed + 1)
+    other = run_ensemble(reseeded, 9, depths=(6,), runs=10)
     np.testing.assert_array_equal(
         base.final.distribution.probabilities, same.final.distribution.probabilities
     )
