@@ -2,7 +2,8 @@
 
 Two ways of asking the same question. In mode space: does the ensemble-mean
 output profile fall off like a Gaussian of the ring displacement (spreading)
-or like an exponential (trapping)? In the spectrum: do the eigenvectors of
+or like an exponential (trapping)? Both shapes are fitted over one support,
+the modes above a probability floor. In the spectrum: do the eigenvectors of
 the transfer matrix occupy the whole ring or a few modes, and how far from
 the diagonal does the effective generator reach?
 """
@@ -25,11 +26,6 @@ DEFAULT_THRESHOLDS = (0.8, 1.25)
 DEFAULT_FIT_FLOOR = 1e-12
 
 
-class FitModel(str, enum.Enum):
-    GAUSSIAN = "gaussian"
-    EXPONENTIAL = "exponential"
-
-
 class Regime(str, enum.Enum):
     DIFFUSIVE = "diffusive"
     AMBIGUOUS = "ambiguous"
@@ -46,8 +42,9 @@ class FitReport:
 
     The model is log10 p = amplitude_log - decay * x with x the squared
     displacement (gaussian) or the absolute displacement (exponential).
-    ssr is the sum of squared residuals in log10 space. The fields are the
-    keys of a verdict file's fit entry, in file order.
+    ssr is the sum of squared residuals in log10 space. Both fits of a
+    verdict share one support, so their n_points are equal. The fields are
+    the keys of a verdict file's fit entry, in file order.
     """
 
     amplitude_log: float
@@ -56,44 +53,17 @@ class FitReport:
     n_points: int
 
 
-def fit_profile(
-    dist: Distribution,
-    model: FitModel,
-    floor: float = DEFAULT_FIT_FLOOR,
-) -> FitReport:
-    """Fit one decay model to the modes whose probability exceeds ``floor``.
-
-    Raises InsufficientSupportError with the support count when fewer than
-    three modes survive the floor, or when the surviving displacements give
-    the regressor no spread to fit against.
-    """
-    model = FitModel(model)
-    if not 0.0 <= floor < 1.0:
-        raise ValueError(f"floor must lie in [0, 1), got {floor!r}")
-    p = dist.probabilities
-    d = circular_displacements(dist.n_modes, dist.input_index).astype(np.float64)
-    keep = p > floor
-    n_points = int(np.count_nonzero(keep))
-    if n_points < 3:
-        raise InsufficientSupportError(
-            f"{n_points} mode(s) above floor {floor:.3e}; need at least 3"
-        )
-    x = d[keep] ** 2 if model is FitModel.GAUSSIAN else np.abs(d[keep])
-    y = np.log10(p[keep])
+def _least_squares(x: np.ndarray, y: np.ndarray) -> FitReport:
+    """Fit y = amplitude_log - decay * x; x must have spread."""
     xc = x - x.mean()
-    sxx = float(xc @ xc)
-    if sxx <= 0.0:
-        raise InsufficientSupportError(
-            f"all {n_points} surviving modes share one displacement magnitude"
-        )
-    slope = float(xc @ (y - y.mean())) / sxx
+    slope = float(xc @ (y - y.mean())) / float(xc @ xc)
     intercept = float(y.mean() - slope * x.mean())
     residuals = y - (intercept + slope * x)
     return FitReport(
         amplitude_log=intercept,
         decay=-slope,
         ssr=float(residuals @ residuals),
-        n_points=n_points,
+        n_points=len(x),
     )
 
 
@@ -120,6 +90,10 @@ def classify(
 ) -> RegimeVerdict:
     """Call the transport regime of one mean distribution.
 
+    Both shapes are fitted over the modes whose probability exceeds ``floor``,
+    so their n_points are equal. InsufficientSupportError reports the count
+    when fewer than three modes survive or all share one |displacement|.
+
     ssr_ratio below thresholds[0] is diffusive, above thresholds[1] is
     localized, between them ambiguous. Both fits always run; a degenerate
     pair of exact fits (both ssr zero) counts as ambiguous.
@@ -127,8 +101,23 @@ def classify(
     low, high = float(thresholds[0]), float(thresholds[1])
     if not 0.0 < low <= high:
         raise ValueError(f"thresholds must satisfy 0 < low <= high, got {thresholds}")
-    gaussian = fit_profile(dist, FitModel.GAUSSIAN, floor)
-    exponential = fit_profile(dist, FitModel.EXPONENTIAL, floor)
+    if not 0.0 <= floor < 1.0:
+        raise ValueError(f"floor must lie in [0, 1), got {floor!r}")
+    keep = dist.probabilities > floor
+    n_points = int(np.count_nonzero(keep))
+    if n_points < 3:
+        raise InsufficientSupportError(
+            f"{n_points} mode(s) above floor {floor:.3e}; need at least 3"
+        )
+    d = circular_displacements(dist.n_modes, dist.input_index)
+    d = np.abs(d[keep]).astype(np.float64)
+    if d.min() == d.max():
+        raise InsufficientSupportError(
+            f"all {n_points} surviving modes share one displacement magnitude"
+        )
+    y = np.log10(dist.probabilities[keep])
+    gaussian = _least_squares(d**2, y)
+    exponential = _least_squares(d, y)
     if exponential.ssr == 0.0:
         ratio = np.inf if gaussian.ssr > 0.0 else 1.0
     else:

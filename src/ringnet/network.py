@@ -79,9 +79,7 @@ class RngStream:
     def __init__(self, master_seed: int, stream_index: int):
         if master_seed < 0 or stream_index < 0:
             raise ValueError("seed and stream index must be nonnegative")
-        self.master_seed = int(master_seed)
-        self.stream_index = int(stream_index)
-        seq = np.random.SeedSequence([self.master_seed, self.stream_index])
+        seq = np.random.SeedSequence([int(master_seed), int(stream_index)])
         self._gen = np.random.Generator(np.random.PCG64(seq))
 
     def uniform(self, count: int) -> np.ndarray:

@@ -71,7 +71,7 @@ def output_distribution(amplitudes: np.ndarray, input_index: int) -> Distributio
     in a long product cannot push the total past the distribution tolerance.
     """
     norm = float(np.linalg.norm(amplitudes))
-    if abs(norm**2 - 1.0) >= UNITARITY_TOL:
+    if not abs(norm**2 - 1.0) < UNITARITY_TOL:
         raise NonUnitaryError(
             f"amplitudes propagated from mode {input_index} have squared norm "
             f"{norm**2!r}, not 1 within {UNITARITY_TOL:.0e}"

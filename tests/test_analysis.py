@@ -8,14 +8,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ringnet.analysis import (
-    FitModel,
     InsufficientSupportError,
     Regime,
     band_mass_profile,
     classify,
     effective_hamiltonian,
     eigenvector_localization,
-    fit_profile,
 )
 from ringnet.linalg import BranchCutWarning
 from ringnet.network import MotifParams, Scenario, build_motif, compose, disordered_motif
@@ -37,19 +35,19 @@ def profile_distribution(n, input_index, decay, shape):
 
 def test_fit_recovers_exact_gaussian():
     dist = profile_distribution(41, 20, 0.05, "gaussian")
-    fit = fit_profile(dist, FitModel.GAUSSIAN, floor=0.0)
+    fit = classify(dist, floor=0.0).gaussian
     assert fit.decay == pytest.approx(0.05, abs=1e-12)
     assert fit.ssr < 1e-18
     assert fit.n_points == 41
     # the default floor trims the far tail, leaving the decay untouched
-    trimmed = fit_profile(dist, FitModel.GAUSSIAN)
+    trimmed = classify(dist).gaussian
     assert trimmed.n_points < 41
     assert trimmed.decay == pytest.approx(0.05, abs=1e-12)
 
 
 def test_fit_recovers_exact_exponential():
     dist = profile_distribution(41, 20, 0.2, "exponential")
-    fit = fit_profile(dist, FitModel.EXPONENTIAL)
+    fit = classify(dist).exponential
     assert fit.decay == pytest.approx(0.2, abs=1e-12)
     assert fit.ssr < 1e-18
 
@@ -66,39 +64,40 @@ def test_fit_recovery_across_decay_range(shape, decay, n):
     # keep the far tail out of the denormal range, where log10 loses digits
     assume(decay * x_max <= 250.0)
     dist = profile_distribution(n, half, decay, shape)
-    model = FitModel.GAUSSIAN if shape == "gaussian" else FitModel.EXPONENTIAL
-    fit = fit_profile(dist, model, floor=0.0)
+    fit = getattr(classify(dist, floor=0.0), shape)
     assert abs(fit.decay - decay) <= 1e-9 * decay
 
 
 def test_fit_floor_drops_points():
     dist = profile_distribution(21, 10, 0.5, "exponential")
-    full = fit_profile(dist, FitModel.EXPONENTIAL, floor=0.0)
-    cut = fit_profile(dist, FitModel.EXPONENTIAL, floor=1e-3)
-    assert cut.n_points < full.n_points
-    assert cut.decay == pytest.approx(0.5, abs=1e-9)
+    full = classify(dist, floor=0.0)
+    cut = classify(dist, floor=1e-3)
+    assert cut.exponential.n_points < full.exponential.n_points
+    assert cut.exponential.decay == pytest.approx(0.5, abs=1e-9)
+    # both shapes are fitted over the one support the floor leaves
+    assert cut.gaussian.n_points == cut.exponential.n_points
 
 
 def test_fit_requires_three_supported_points():
     p = np.zeros(10)
     p[0] = p[1] = 0.5
     with pytest.raises(InsufficientSupportError):
-        fit_profile(Distribution(p, 0), FitModel.GAUSSIAN)
+        classify(Distribution(p, 0))
 
 
 def test_fit_requires_displacement_spread():
     # all surviving mass at one |d| gives the regression nothing to work with
     p = np.array([1e-16, 0.5, 1e-16, 0.0, 1e-16, 0.5])
     with pytest.raises(InsufficientSupportError):
-        fit_profile(Distribution(p / p.sum(), 0), FitModel.EXPONENTIAL, floor=1e-12)
+        classify(Distribution(p / p.sum(), 0), floor=1e-12)
 
 
 def test_fit_floor_validation():
     dist = profile_distribution(11, 5, 0.1, "gaussian")
-    with pytest.raises(ValueError):
-        fit_profile(dist, FitModel.GAUSSIAN, floor=1.0)
-    with pytest.raises(ValueError):
-        fit_profile(dist, FitModel.GAUSSIAN, floor=-0.1)
+    with pytest.raises(ValueError, match="floor must lie"):
+        classify(dist, floor=1.0)
+    with pytest.raises(ValueError, match="floor must lie"):
+        classify(dist, floor=-0.1)
 
 
 # ------------------------------------------------------------ classification

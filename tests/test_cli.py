@@ -123,6 +123,25 @@ def test_simulate_writes_expected_files(tmp_path, capsys):
         assert abs(float(footer.split("=")[1]) - 1.0) <= 1e-10
 
 
+def test_csv_log_column_and_fits_use_one_cut(tmp_path):
+    cfg = write_config(
+        tmp_path, emit=["distributions", "fits"], fit_floor=1e-4, depths=[2, 8]
+    )
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    dropped = 0
+    for depth in (2, 8):
+        text = (out / f"dist_M{depth}.csv").read_text()
+        rows = [row.split(",") for row in text.splitlines()[1:-1]]
+        logged = sum(1 for row in rows if row[2])
+        dropped += sum(1 for row in rows if float(row[1]) > 0.0 and not row[2])
+        fits = json.loads((out / f"verdict_M{depth}.json").read_text())["fits"]
+        assert fits["gaussian"]["n_points"] == logged
+        assert fits["exponential"]["n_points"] == logged
+    # the light-cone edge at depth 8 carries 4**-8 < 1e-4, so the cut bites
+    assert dropped > 0
+
+
 def test_simulate_quiet_suppresses_notes(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"

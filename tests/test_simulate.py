@@ -122,6 +122,11 @@ def test_output_distribution_tolerates_mild_column_rescale():
     assert d.probabilities.sum() == pytest.approx(1.0, abs=1e-15)
 
 
+def test_output_distribution_rejects_nan_amplitudes():
+    with pytest.raises(NonUnitaryError):
+        output_distribution(np.array([np.nan, 0j]), 0)
+
+
 # ------------------------------------------------------------- ring geometry
 
 
