@@ -92,7 +92,7 @@ def classify(
 
     Both shapes are fitted over the modes whose probability exceeds ``floor``,
     so their n_points are equal. InsufficientSupportError reports the count
-    when fewer than three modes survive or all share one |displacement|.
+    when fewer than three modes survive.
 
     ssr_ratio below thresholds[0] is diffusive, above thresholds[1] is
     localized, between them ambiguous. Both fits always run; a degenerate
@@ -111,10 +111,6 @@ def classify(
         )
     d = circular_displacements(dist.n_modes, dist.input_index)
     d = np.abs(d[keep]).astype(np.float64)
-    if d.min() == d.max():
-        raise InsufficientSupportError(
-            f"all {n_points} surviving modes share one displacement magnitude"
-        )
     y = np.log10(dist.probabilities[keep])
     gaussian = _least_squares(d**2, y)
     exponential = _least_squares(d, y)

@@ -2,7 +2,8 @@
 
 Everything operates on plain numpy arrays: square complex matrices, double
 precision throughout. Operations validate shape and finiteness
-at entry instead of wrapping arrays in dedicated types.
+at entry instead of wrapping arrays in dedicated types. scipy is imported
+by ``eig_unitary`` on its first call, so only spectral runs load it.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-import scipy.linalg
 
 UNITARITY_TOL = 1e-8
 BRANCH_CUT_TOL = 1e-6
@@ -51,7 +51,8 @@ def eig_unitary(a) -> tuple[np.ndarray, np.ndarray]:
 
     Uses the complex Schur form: for a unitary input the triangular factor is
     diagonal, so the Schur vectors are an orthonormal eigenbasis and the
-    reconstruction V diag(lambda) V^H matches the input to round-off.
+    reconstruction V diag(lambda) V^H matches the input to round-off. The
+    Schur form comes from ``scipy.linalg``, imported here on the first call.
 
     Raises
     ------
@@ -67,6 +68,9 @@ def eig_unitary(a) -> tuple[np.ndarray, np.ndarray]:
         raise NonUnitaryError(
             f"unitarity defect {defect:.3e} is not below {UNITARITY_TOL:.0e}"
         )
+    # imported on first use: scipy.linalg is slow to load and only spectral runs need it
+    import scipy.linalg
+
     try:
         t, z = scipy.linalg.schur(a, output="complex")
     except np.linalg.LinAlgError as exc:

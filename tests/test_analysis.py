@@ -85,11 +85,13 @@ def test_fit_requires_three_supported_points():
         classify(Distribution(p, 0))
 
 
-def test_fit_requires_displacement_spread():
-    # all surviving mass at one |d| gives the regression nothing to work with
-    p = np.array([1e-16, 0.5, 1e-16, 0.0, 1e-16, 0.5])
-    with pytest.raises(InsufficientSupportError):
-        classify(Distribution(p / p.sum(), 0), floor=1e-12)
+def test_three_surviving_modes_always_have_displacement_spread():
+    # only +k and -k share |d| (0 and n/2 are one mode each), so the three
+    # modes classify requires can never all sit at one |d|
+    for n in range(2, 65):
+        for port in range(n):
+            magnitudes = np.abs(circular_displacements(n, port))
+            assert np.bincount(magnitudes).max() <= 2, (n, port)
 
 
 def test_fit_floor_validation():

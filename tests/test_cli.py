@@ -1,8 +1,10 @@
+import ast
 import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -439,6 +441,19 @@ def test_exit_3_on_unwritable_out_dir(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def checkout_env(**overrides):
+    """``os.environ`` with this checkout's ``src`` first on PYTHONPATH.
+
+    pytest's ``pythonpath`` setting does not reach child interpreters, so
+    every subprocess gets this environment to import ringnet without an install.
+    """
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **overrides)
+
+
 def test_subprocess_entry_point(tmp_path):
     cfg = write_config(tmp_path, depths=[3], runs=5)
     out = tmp_path / "out"
@@ -446,6 +461,7 @@ def test_subprocess_entry_point(tmp_path):
         [sys.executable, "-m", "ringnet", "simulate", "--config", str(cfg), "--out", str(out), "--quiet"],
         capture_output=True,
         text=True,
+        env=checkout_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "effective_config.json").exists()
@@ -463,7 +479,7 @@ THREAD_VARS = (
 
 def run_with_threads(tmp_path, command, cfg, threads):
     out = tmp_path / f"{command}-{threads}"
-    env = dict(os.environ, **{var: str(threads) for var in THREAD_VARS})
+    env = checkout_env(**{var: str(threads) for var in THREAD_VARS})
     proc = subprocess.run(
         [sys.executable, "-m", "ringnet", command, "--config", str(cfg), "--out", str(out), "--quiet"],
         capture_output=True,
@@ -505,3 +521,60 @@ def test_outputs_do_not_depend_on_thread_count(tmp_path, command, overrides):
     # LAPACK's Schur step may move spectral.json in its last digits
     for name in single.keys() - {"spectral.json"}:
         assert single[name] == double[name], name
+
+
+# --------------------------------------------------------------- cold start
+
+SCIPY_PROBE = """
+import sys
+import ringnet.cli
+assert "scipy" not in sys.modules, "import ringnet.cli loaded scipy"
+code = ringnet.cli.main(sys.argv[1:])
+print(code, "scipy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "command, overrides, loads_scipy",
+    [
+        ("simulate", {"depths": [3], "runs": 5}, False),
+        ("scan-alpha", {
+            "scenario": {"kind": "fixed-disorder", "alpha_fixed": TWO_PI, "seed": 0},
+            "depths": [3],
+            "runs": 5,
+            "alphas": [0.0, TWO_PI],
+        }, False),
+        ("spectrum", {"depths": [3]}, True),
+        ("simulate", {"depths": [3], "runs": 5, "emit": ["spectral"]}, True),
+    ],
+    ids=["simulate", "scan-alpha", "spectrum", "simulate-spectral"],
+)
+def test_only_spectral_runs_import_scipy(tmp_path, command, overrides, loads_scipy):
+    cfg = write_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, command, "--config", str(cfg), "--out", str(out), "--quiet"],
+        capture_output=True,
+        text=True,
+        env=checkout_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", str(loads_scipy)]
+
+
+def test_scipy_is_imported_only_inside_eig_unitary():
+    found = []
+    for path in sorted((SRC / "ringnet").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "scipy" for m in modules):
+                owner = [f.name for f in functions if node in ast.walk(f)]
+                found.append((path.name, owner))
+    assert found == [("linalg.py", ["eig_unitary"])]
