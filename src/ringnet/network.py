@@ -1,10 +1,9 @@
 """Ring network construction: motif transfer matrices and random phase layers.
 
 A ring of N two-port couplers carries 2N modes. One motif applies every
-coupler once: an A sublayer of 2x2 rotation blocks on mode pairs (0,1),
-(2,3), ..., then a B sublayer on the shifted pairs (1,2), (3,4), ...,
-closing the ring with the corner entries that couple mode 2N-1 back to
-mode 0. Disorder enters as diagonal layers of random phases.
+coupler once, each a 2x2 rotation of one mode pair: a B sublayer on the
+pairs (1,2), (3,4), ..., (2N-1,0), which closes the ring, then an A sublayer
+on (0,1), (2,3), .... Disorder enters as diagonal layers of random phases.
 """
 
 from __future__ import annotations
@@ -17,20 +16,13 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 
 
-def coupler_block(angle: float) -> np.ndarray:
-    """2x2 real rotation block [[c, s], [-s, c]] for one coupler."""
-    c = np.cos(angle)
-    s = np.sin(angle)
-    return np.array([[c, s], [-s, c]], dtype=np.complex128)
-
-
 @dataclass(frozen=True)
 class MotifParams:
     """Geometry and coupling angles of one ring motif.
 
     n_couplers is the number of couplers per sublayer; the ring carries twice
-    that many modes. A ring with a single coupler would make the B sublayer's
-    corner wrap collide with its only block, so two couplers is the minimum.
+    that many modes. With a single coupler the A and B sublayers would rotate
+    the same mode pair, so two couplers is the minimum.
     """
 
     n_couplers: int
@@ -52,21 +44,26 @@ class MotifParams:
         return 2 * self.n_couplers
 
 
+def _rotate_pairs(x: np.ndarray, angle: float, first: int) -> np.ndarray:
+    """Rotate the row pairs (k, k+1 mod 2N), k = first, first+2, ..., of x by
+    the coupler [[c, s], [-s, c]], c and s the cosine and sine of angle."""
+    lo = np.arange(first, len(x), 2)
+    hi = (lo + 1) % len(x)
+    c, s = np.cos(angle), np.sin(angle)
+    y = np.empty_like(x)
+    y[lo] = c * x[lo] + s * x[hi]
+    y[hi] = c * x[hi] - s * x[lo]
+    return y
+
+
 def build_motif(params: MotifParams) -> np.ndarray:
     """Transfer matrix of one disorder-free motif: A sublayer times B sublayer.
 
-    B is A's block layout with phi blocks, rolled one mode around the ring:
-    the blocks land on the pairs (1,2), (3,4), ... and the last one splits
-    across the matrix corners, coupling mode 2N-1 back to mode 0. A then mixes
-    each row pair (2i, 2i+1) of B with one theta block.
+    B rotates the pairs that start at mode 1 by phi, its last pair (2N-1, 0)
+    closing the ring; A then rotates the pairs (0,1), (2,3), ... by theta.
     """
-    b = np.kron(np.eye(params.n_couplers), coupler_block(params.phi))
-    b = np.roll(b, 1, axis=(0, 1))
-    c, s = np.cos(params.theta), np.sin(params.theta)
-    u = np.empty_like(b)
-    u[0::2] = c * b[0::2] + s * b[1::2]
-    u[1::2] = c * b[1::2] - s * b[0::2]
-    return u
+    b = _rotate_pairs(np.eye(params.n_modes, dtype=np.complex128), params.phi, 1)
+    return _rotate_pairs(b, params.theta, 0)
 
 
 class RngStream:

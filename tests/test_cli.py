@@ -236,6 +236,60 @@ def test_scan_alpha_single_point_matches_simulate(tmp_path):
     ).read_bytes()
 
 
+def run_cli(tmp_path, name, command, cfg, *args):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / name
+    assert main([command, "--config", str(path), "--out", str(out), "--quiet", *args]) == 0
+    return out
+
+
+@pytest.mark.parametrize(
+    "scenario, axis",
+    [
+        ({"kind": "fully-random"}, "alpha_layer"),
+        ({"kind": "fixed-disorder"}, "alpha_fixed"),
+        ({"kind": "intermediate", "alpha_fixed": TWO_PI, "alpha_layer": 0.3}, "alpha_layer"),
+    ],
+    ids=["fully-random", "fixed-disorder", "intermediate"],
+)
+def test_scan_alpha_varies_the_strength_its_kind_names(tmp_path, scenario, axis):
+    x = 1.0
+    base = {"scenario": {**scenario, "seed": 3}, "depths": [6], "runs": 20}
+
+    def with_strength(field):
+        return {**base, "scenario": {**base["scenario"], field: x}}
+
+    scan = run_cli(tmp_path, "scan", "scan-alpha", {**base, "alphas": [x]})
+    named = run_cli(tmp_path, "named", "simulate", with_strength(axis))
+    got = (scan / "dist_alpha0.csv").read_bytes()
+    assert got == (named / "dist_M6.csv").read_bytes()
+    if scenario["kind"] == "intermediate":
+        # both strengths apply to this kind; the scan must not move the frozen one
+        frozen = run_cli(tmp_path, "frozen", "simulate", with_strength("alpha_fixed"))
+        assert got != (frozen / "dist_M6.csv").read_bytes()
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_shipped_scan_endpoints_hold_across_seeds(tmp_path, seed):
+    # Only the first and last strengths are checked. The middle ones sit near
+    # the classifier thresholds and their verdicts vary with the seed.
+    allowed = {
+        "alpha_scan": ({"diffusive", "ambiguous"}, {"localized"}),
+        "intermediate_scan": ({"localized"}, {"diffusive"}),
+    }
+    for name, (first_ok, last_ok) in allowed.items():
+        cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+        cfg["alphas"] = [cfg["alphas"][0], cfg["alphas"][-1]]
+        out = run_cli(tmp_path, name, "scan-alpha", cfg, "--seed", str(seed))
+        rows = (out / "scan_summary.csv").read_text().splitlines()[1:]
+        first, last = (row.split(",")[3] for row in rows)
+        assert first in first_ok and last in last_ok, (name, first, last)
+
+
 def test_scan_alpha_requires_alphas(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["scan-alpha", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1

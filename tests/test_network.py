@@ -16,7 +16,6 @@ from ringnet.network import (
     build_motif,
     build_phase_layer,
     compose,
-    coupler_block,
     disordered_motif,
     scenario_step_factors,
 )
@@ -30,20 +29,7 @@ def balanced(n_couplers=20):
     return MotifParams(n_couplers=n_couplers, theta=np.pi / 4, phi=np.pi / 4)
 
 
-# -------------------------------------------------------------------- blocks
-
-
-def test_coupler_block_limits():
-    np.testing.assert_allclose(coupler_block(0.0), np.eye(2), atol=0)
-    np.testing.assert_allclose(
-        coupler_block(np.pi / 2), np.array([[0, 1], [-1, 0]]), atol=1e-16
-    )
-
-
-def test_coupler_block_balanced():
-    b = coupler_block(np.pi / 4)
-    r = 1 / np.sqrt(2)
-    np.testing.assert_allclose(b, np.array([[r, r], [-r, r]]), atol=1e-15)
+# -------------------------------------------------------------------- params
 
 
 def test_motif_params_rejects_single_coupler():
@@ -76,15 +62,26 @@ def test_b_sublayer_corner_wrap():
 
 
 @pytest.mark.parametrize(
-    "n_couplers, zero_phi",
-    [(2, False), (3, False), (5, False), (3, True)],
-    ids=["2", "3", "5", "3-phi0"],
+    "n_couplers, theta, phi",
+    [
+        (2, None, None),
+        (3, None, None),
+        (5, None, None),
+        # the B sublayer is the identity, leaving the A sublayer bare
+        (3, None, 0.0),
+        # every A coupler swaps its pair with one sign flip, [[0, 1], [-1, 0]]
+        (3, np.pi / 2, 0.0),
+        # balanced couplers in both sublayers, c = s = 1/sqrt(2)
+        (3, np.pi / 4, np.pi / 4),
+    ],
+    ids=["2", "3", "5", "3-phi0", "3-swap-A", "3-balanced"],
 )
-def test_motif_matches_naive_construction(n_couplers, zero_phi):
+def test_motif_matches_naive_construction(n_couplers, theta, phi):
+    # an angle given as None is drawn at random, seeded by the ring size
     gen = np.random.default_rng(n_couplers)
-    theta, phi = gen.uniform(-np.pi, np.pi, size=2)
-    if zero_phi:
-        phi = 0.0  # the B sublayer is the identity, leaving the A sublayer bare
+    random_theta, random_phi = gen.uniform(-np.pi, np.pi, size=2)
+    theta = random_theta if theta is None else theta
+    phi = random_phi if phi is None else phi
     got = build_motif(MotifParams(n_couplers=n_couplers, theta=theta, phi=phi))
     expected = np.array(naive_motif(n_couplers, theta, phi))
     np.testing.assert_allclose(got, expected, atol=1e-14)

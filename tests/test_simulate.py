@@ -297,11 +297,14 @@ def test_ensemble_peak_memory_does_not_grow_with_runs():
         finally:
             tracemalloc.stop()
 
-    # CPython keeps up to 2000 freed tuples of each size for reuse, and
-    # numpy's roll and kron leave a few more there on every motif build until
-    # that cap is reached (about 110 KB, whatever the run count). The warm-up
-    # fills those free lists; a full collection would empty them again, so
-    # the collector stays off until the peaks are taken.
+    # The first run fills one-time caches (about 0.9 MB), so a warm-up comes
+    # before the peaks. build_motif's eye, arange and row assignments leave
+    # nothing behind between runs, but CPython keeps up to 2000 freed tuples
+    # of each size for reuse, and any numpy call on the ensemble path that
+    # parks a few there per realization grows the peak until that cap is
+    # reached (about 110 KB, whatever the run count). The long warm-up fills
+    # those free lists; a full collection would empty them again, so the
+    # collector stays off until the peaks are taken.
     gc.disable()
     try:
         run_ensemble(sc, 19, depths=(10,), runs=1024)
