@@ -80,9 +80,7 @@ class RngStream:
         self._gen = np.random.Generator(np.random.PCG64(seq))
 
     def uniform(self, count: int) -> np.ndarray:
-        """Next ``count`` draws from Uniform[0, 1)."""
-        if count < 0:
-            raise ValueError(f"count must be nonnegative, got {count}")
+        """Next ``count`` draws from Uniform[0, 1); numpy rejects count < 0."""
         return self._gen.random(count)
 
 
@@ -90,12 +88,10 @@ def build_phase_layer(n_modes: int, alpha: float, rng: RngStream) -> np.ndarray:
     """Draw the phases of one layer, uniform on [0, alpha).
 
     Always consumes exactly n_modes draws from ``rng``, alpha = 0 included,
-    so stream positions stay aligned across disorder strengths.
+    so stream positions stay aligned across disorder strengths. The inputs
+    are trusted: Scenario holds alpha to [0, 2*pi] and MotifParams holds
+    n_modes to at least 4.
     """
-    if n_modes <= 0:
-        raise ValueError(f"n_modes must be positive, got {n_modes}")
-    if not 0.0 <= alpha <= TWO_PI:
-        raise ValueError(f"alpha must lie in [0, 2*pi], got {alpha!r}")
     return alpha * rng.uniform(n_modes)
 
 

@@ -62,13 +62,15 @@ class Distribution:
         return float(np.sum(self.probabilities**2))
 
 
-def output_distribution(amplitudes: np.ndarray, input_index: int) -> Distribution:
-    """Mode probabilities of the amplitudes propagated from mode input_index.
+def output_distribution(amplitudes: np.ndarray, input_index: int) -> np.ndarray:
+    """Mode probability vector of the amplitudes propagated from mode input_index.
 
     Raises NonUnitaryError when the squared norm misses one by UNITARITY_TOL
     or more, as the column of a non-unitary propagator would. Within that,
     the amplitudes are renormalized before squaring so accumulated round-off
     in a long product cannot push the total past the distribution tolerance.
+    That norm check is the only one: the plain vector is returned, and a
+    Distribution validates it only where the library hands one out.
     """
     norm = float(np.linalg.norm(amplitudes))
     if not abs(norm**2 - 1.0) < UNITARITY_TOL:
@@ -77,7 +79,7 @@ def output_distribution(amplitudes: np.ndarray, input_index: int) -> Distributio
             f"{norm**2!r}, not 1 within {UNITARITY_TOL:.0e}"
         )
     p = np.abs(amplitudes / norm) ** 2
-    return Distribution(probabilities=p / p.sum(), input_index=input_index)
+    return p / p.sum()
 
 
 def propagate(w, input_index: int) -> Distribution:
@@ -95,7 +97,7 @@ def propagate(w, input_index: int) -> Distribution:
         raise ValueError(
             f"input_index {input_index} outside the mode range [0, {w.shape[0]})"
         )
-    return output_distribution(w[:, input_index], input_index)
+    return Distribution(output_distribution(w[:, input_index], input_index), input_index)
 
 
 def circular_displacements(n_modes: int, input_index: int) -> np.ndarray:
@@ -190,9 +192,9 @@ def run_ensemble(scenario: Scenario, input_index: int, depths, runs: int) -> Ens
         for step, factor in enumerate(factors, start=1):
             w = factor @ w
             if step in wanted:
-                dist_r = output_distribution(w[:, input_index], input_index)
-                sums[step] += dist_r.probabilities
-                ipr_sums[step] += dist_r.ipr()
+                p = output_distribution(w[:, input_index], input_index)
+                sums[step] += p
+                ipr_sums[step] += float(np.sum(p**2))  # Distribution.ipr of p
 
     samples = []
     for d in depths:

@@ -134,6 +134,8 @@ def test_rng_stream_rejects_negative_seed():
         RngStream(-1, 0)
     with pytest.raises(ValueError):
         RngStream(0, -2)
+    with pytest.raises(ValueError):
+        RngStream(0, 0).uniform(-1)  # numpy's own count check
 
 
 # ---------------------------------------------------------------- phase layer
@@ -150,15 +152,6 @@ def test_phase_layer_zero_alpha_still_consumes_draws():
     build_phase_layer(6, 0.0, rng)
     after = rng.uniform(1)[0]
     assert after == RngStream(5, 0).uniform(7)[-1]
-
-
-def test_phase_layer_validation():
-    with pytest.raises(ValueError):
-        build_phase_layer(1, 7.0, RngStream(0, 0))  # range above 2*pi
-    with pytest.raises(ValueError):
-        build_phase_layer(1, -0.1, RngStream(0, 0))  # negative range
-    with pytest.raises(ValueError):
-        build_phase_layer(0, 1.0, RngStream(0, 0))
 
 
 def test_phase_draws_fill_the_requested_range():
@@ -194,6 +187,14 @@ def test_scenario_rejects_bad_depth_and_alpha_range():
     with pytest.raises(ValueError):
         Scenario(
             kind="fixed-disorder", motif=balanced(2), depth=1, seed=0, alpha_fixed=7.0
+        )
+    with pytest.raises(ValueError):
+        Scenario(
+            kind="fixed-disorder", motif=balanced(2), depth=1, seed=0, alpha_fixed=-0.1
+        )
+    with pytest.raises(ValueError):
+        Scenario(
+            kind="fully-random", motif=balanced(2), depth=1, seed=0, alpha_layer=7.0
         )
 
 

@@ -112,14 +112,17 @@ def test_propagate_agrees_with_naive_matvec():
 
 def test_pure_balanced_walk_reaches_every_port():
     sc = Scenario(kind="pure", motif=balanced(20), depth=10, seed=0)
-    d = propagate(compose(sc), 19)
+    w = compose(sc)
+    d = propagate(w, 19)
     assert d.probabilities.min() > 0
+    # a snapshot is the bare vector that propagate wraps
+    assert np.array_equal(d.probabilities, output_distribution(w[:, 19], 19))
 
 
 def test_output_distribution_tolerates_mild_column_rescale():
     w = np.eye(4) * (1.0 + 1e-9)
-    d = output_distribution(w[:, 1], 1)
-    assert d.probabilities.sum() == pytest.approx(1.0, abs=1e-15)
+    p = output_distribution(w[:, 1], 1)
+    assert p.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_output_distribution_rejects_nan_amplitudes():
