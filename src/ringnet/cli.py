@@ -156,9 +156,7 @@ def cmd_scan_alpha(cfg: RunConfig) -> dict[str, str]:
         # same seed for every strength: differences along the scan come from
         # the strength alone, not from resampled noise
         scenario = dataclasses.replace(cfg.scenario, **{axis: alpha})
-        result = run_ensemble(
-            scenario, cfg.input_index, (scenario.depth,), cfg.runs
-        )
+        result = run_ensemble(scenario, cfg.input_index, (scenario.depth,), cfg.runs)
         sample = result.final
         verdict = classify(sample.distribution, cfg.thresholds, cfg.fit_floor)
         files.update(_sample_files(cfg, sample, f"alpha{idx}", verdict, alpha))

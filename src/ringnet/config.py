@@ -23,6 +23,7 @@ DEFAULT_PHI = QUARTER_PI
 DEFAULT_SEED = 0
 DEFAULT_RUNS = 1000
 DEFAULT_EMIT = ("distributions", "fits", "variance_trace")
+MAX_N_COUPLERS = 2048  # dense 2N x 2N complex matrices then take 256 MiB each
 
 EMIT_CHOICES = frozenset(DEFAULT_EMIT) | {"spectral"}
 
@@ -143,6 +144,12 @@ def parse_config(data, seed_override=None, runs_override=None) -> RunConfig:
     n_couplers = _expect_int(
         raw.pop("n_couplers", DEFAULT_N_COUPLERS), "scenario.n_couplers", minimum=2
     )
+    if n_couplers > MAX_N_COUPLERS:
+        raise ConfigError(
+            "scenario.n_couplers",
+            f"must be at most {MAX_N_COUPLERS}, got {n_couplers}; one 2N x 2N complex "
+            f"matrix would need {16 * (2 * n_couplers) ** 2:,} bytes",
+        )
     theta = _expect_float(raw.pop("theta", DEFAULT_THETA), "scenario.theta")
     phi = _expect_float(raw.pop("phi", DEFAULT_PHI), "scenario.phi")
     alpha_fixed = _expect_float(

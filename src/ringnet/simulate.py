@@ -1,10 +1,9 @@
 """Single-excitation propagation and ensemble statistics on the ring.
 
-States live on the 2N modes of a ring scenario. Propagation injects one
-excitation on a chosen mode, applies the composed transfer matrix, and reads
-out the mode-occupation probability distribution. Ensembles average those
-distributions over independent disorder realizations, with snapshots taken at
-intermediate depths along the way.
+States live on the 2N modes of a ring. ``propagate`` reads the output
+distribution of one excitation off a composed transfer matrix; ensembles push
+the input column through each step factor, O(N^2) per step, and average the
+distributions over disorder realizations, with snapshots at chosen depths.
 """
 
 from __future__ import annotations
@@ -160,39 +159,35 @@ class EnsembleResult:
 def run_ensemble(scenario: Scenario, input_index: int, depths, runs: int) -> EnsembleResult:
     """Average output distributions over ``runs`` disorder realizations.
 
-    depths must be strictly increasing with the last entry equal to
-    scenario.depth, so every snapshot falls inside a single pass through the
-    step factors. Realization r draws from stream r of scenario.seed and
-    realizations accumulate serially in ascending order, so a run repeats bit
-    for bit.
+    Each realization pushes one column, the unit vector on input_index,
+    through its step factors: O(N^2) per step. depths must be strictly
+    increasing with the last entry equal to scenario.depth, so every snapshot
+    falls inside a single pass through the step factors. Realization r draws
+    from stream r of scenario.seed and realizations accumulate serially in
+    ascending order, so a run repeats bit for bit.
     """
     depths = tuple(int(d) for d in depths)
-    if len(depths) == 0:
-        raise ValueError("depths must be nonempty")
+    if not depths or depths[0] < 1:
+        raise ValueError(f"depths must be nonempty and positive, got {depths}")
     if any(b <= a for a, b in zip(depths, depths[1:])):
         raise ValueError(f"depths must be strictly increasing, got {depths}")
-    if depths[0] < 1:
-        raise ValueError(f"depths must be positive, got {depths}")
     if depths[-1] != scenario.depth:
-        raise ValueError(
-            f"last depth {depths[-1]} must equal scenario depth {scenario.depth}"
-        )
+        raise ValueError(f"depths must end at depth {scenario.depth}, got {depths}")
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
     n = scenario.n_modes
     if not 0 <= input_index < n:
         raise ValueError(f"input_index {input_index} outside the mode range [0, {n})")
 
-    wanted = set(depths)
     sums = {d: np.zeros(n, dtype=np.float64) for d in depths}
     ipr_sums = {d: 0.0 for d in depths}
     for r in range(runs):
         factors = scenario_step_factors(scenario, RngStream(scenario.seed, r))
-        w = np.eye(n, dtype=np.complex128)
+        x = np.eye(1, n, input_index, dtype=np.complex128)[0]
         for step, factor in enumerate(factors, start=1):
-            w = factor @ w
-            if step in wanted:
-                p = output_distribution(w[:, input_index], input_index)
+            x = factor @ x
+            if step in sums:
+                p = output_distribution(x, input_index)
                 sums[step] += p
                 ipr_sums[step] += float(np.sum(p**2))  # Distribution.ipr of p
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -438,6 +439,24 @@ def test_exit_1_on_config_that_is_not_utf8(tmp_path, capsys):
     assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 1
     assert "config error" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+def test_exit_1_on_ring_too_large_for_dense_matrices(tmp_path, capsys):
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps(
+        {"scenario": {"kind": "pure", "n_couplers": 50000}, "depths": [1], "runs": 1}
+    ))
+    out = tmp_path / "o"
+    tracemalloc.start()
+    try:
+        code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert "config error: scenario.n_couplers" in capsys.readouterr().err
+    assert peak < 10_000_000
+    assert not out.exists()
 
 
 def test_exit_1_on_missing_config_flag(capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from ringnet.config import (
     DEFAULT_FIT_FLOOR,
     DEFAULT_RUNS,
     DEFAULT_THRESHOLDS,
+    MAX_N_COUPLERS,
     ConfigError,
     effective_config,
     load_config,
@@ -106,6 +108,29 @@ def test_unused_alpha_rejected_through_scenario():
         parse_config(minimal(kind="pure", alpha_fixed=0.3))
     assert err.value.key == "scenario"
     assert "alpha_fixed" in err.value.message
+
+
+def test_ring_size_ceiling_admits_the_largest_benchmarked_ring():
+    assert MAX_N_COUPLERS >= 2000
+    cfg = parse_config(minimal(n_couplers=MAX_N_COUPLERS))
+    assert cfg.scenario.motif.n_couplers == MAX_N_COUPLERS
+    with pytest.raises(ConfigError) as err:
+        parse_config(minimal(n_couplers=MAX_N_COUPLERS + 1))
+    assert err.value.key == "scenario.n_couplers"
+
+
+def test_oversized_ring_is_refused_at_parse_time_without_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError) as err:
+            parse_config(minimal(n_couplers=50000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.key == "scenario.n_couplers"
+    # one 100000 x 100000 complex128 matrix, named in the message
+    assert "160,000,000,000 bytes" in err.value.message
+    assert peak < 1_000_000
 
 
 def test_bool_is_not_an_int():

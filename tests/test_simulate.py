@@ -16,6 +16,7 @@ from ringnet.network import (
     build_motif,
     build_phase_layer,
     compose,
+    scenario_step_factors,
 )
 from ringnet.simulate import (
     Distribution,
@@ -239,6 +240,58 @@ def test_single_run_ensemble_is_one_propagation(
             rtol=0,
             atol=1e-14,
         )
+
+
+KINDS = ["pure", "fully-random", "fixed-disorder", "intermediate"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=5),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=10**6),
+    st.floats(min_value=-np.pi, max_value=np.pi),
+    st.floats(min_value=-np.pi, max_value=np.pi),
+    st.floats(min_value=0.0, max_value=TWO_PI),
+    st.integers(min_value=2, max_value=5),
+    st.booleans(),
+    st.booleans(),
+)
+def test_ensemble_is_the_mean_of_its_dense_realizations(
+    kind, n_couplers, depth, seed, theta, phi, alpha, runs, last_port, internal
+):
+    alphas = {}
+    if kind in ("fixed-disorder", "intermediate"):
+        alphas["alpha_fixed"] = alpha
+    if kind in ("fully-random", "intermediate"):
+        alphas["alpha_layer"] = TWO_PI - alpha
+    sc = Scenario(
+        kind=kind,
+        motif=MotifParams(n_couplers=n_couplers, theta=theta, phi=phi),
+        depth=depth,
+        seed=seed,
+        motif_internal_phases=internal,
+        **alphas,
+    )
+    port = 2 * n_couplers - 1 if last_port else 0
+    res = run_ensemble(sc, port, depths=range(1, depth + 1), runs=runs)
+
+    # realization r is the dense product of the factors stream r yields
+    sums = np.zeros((depth, sc.n_modes))
+    ipr_sums = np.zeros(depth)
+    for r in range(runs):
+        w = np.eye(sc.n_modes, dtype=np.complex128)
+        for step, factor in enumerate(scenario_step_factors(sc, RngStream(seed, r))):
+            w = factor @ w
+            dist = propagate(w, port)
+            sums[step] += dist.probabilities
+            ipr_sums[step] += dist.ipr()
+    for sample, total, ipr_total in zip(res.samples, sums, ipr_sums):
+        np.testing.assert_allclose(
+            sample.distribution.probabilities, total / runs, rtol=0, atol=1e-14
+        )
+        assert sample.realization_ipr_mean == pytest.approx(ipr_total / runs, abs=1e-14)
 
 
 def test_ensemble_is_deterministic():
