@@ -205,7 +205,13 @@ def compose(scenario: Scenario) -> np.ndarray:
 
     Later steps multiply from the left, so the result applied to a column
     vector runs the steps in order. Draws from stream 0 of the scenario seed.
+
+    pure and fixed-disorder repeat one step, so its depth-th power is taken
+    by squaring: O(N^3 log depth). The kinds with fresh layers multiply
+    every step in turn: O(N^3 depth).
     """
+    if not scenario.kind.fresh:
+        return np.linalg.matrix_power(disordered_motif(scenario), scenario.depth)
     w = np.eye(scenario.n_modes, dtype=np.complex128)
     for factor in scenario_step_factors(scenario, RngStream(scenario.seed, 0)):
         w = factor @ w

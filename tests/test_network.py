@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
+from ringnet.analysis import eigenvector_localization
 from ringnet.linalg import unitarity_defect
 from ringnet.network import (
     TWO_PI,
@@ -243,8 +245,33 @@ def test_compose_preserves_unitarity(kind, n_couplers, depth, seed, af, al):
 
 
 def test_compose_unitary_at_deep_product():
-    sc = _scenario("fixed-disorder", 10, 160, 1, alpha_fixed=TWO_PI)
-    assert unitarity_defect(compose(sc)) < 1e-10
+    for n_couplers, depth in ((10, 160), (5, 4096)):
+        sc = _scenario("fixed-disorder", n_couplers, depth, 1, alpha_fixed=TWO_PI)
+        assert unitarity_defect(compose(sc)) < 1e-10
+
+
+# odd depths, and the powers of two with their neighbours, up to 64
+powering_depth_st = st.one_of(
+    st.integers(min_value=0, max_value=31).map(lambda k: 2 * k + 1),
+    st.sampled_from(sorted({2**p + d for p in range(7) for d in (-1, 0, 1)} - {0, 65})),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["pure", "fixed-disorder"]),
+    st.integers(min_value=2, max_value=12),
+    powering_depth_st,
+    st.integers(min_value=0, max_value=10**6),
+    st.floats(min_value=0.0, max_value=TWO_PI),
+)
+def test_repeated_step_power_equals_sequential_product(kind, n_couplers, depth, seed, af):
+    alphas = {"alpha_fixed": af} if kind == "fixed-disorder" else {}
+    sc = _scenario(kind, n_couplers, depth, seed, **alphas)
+    w = np.eye(sc.n_modes, dtype=np.complex128)
+    for factor in scenario_step_factors(sc, RngStream(sc.seed, 0)):
+        w = factor @ w
+    assert np.abs(compose(sc) - w).max() <= 1e-13
 
 
 @settings(max_examples=20, deadline=None)
@@ -327,6 +354,64 @@ def test_intermediate_draw_order_fixed_layer_first():
     got = list(scenario_step_factors(sc, RngStream(sc.seed, 0)))
     np.testing.assert_allclose(got[0], base * np.exp(1j * s1), atol=1e-15)
     np.testing.assert_allclose(got[1], base * np.exp(1j * s2), atol=1e-15)
+
+
+# ------------------------------------------------- clean-ring Bloch spectrum
+
+
+def bloch_phases(motif):
+    """Eigenphases +-omega(k) of the clean ring, k = 2*pi*j/N.
+
+    cos omega = cos theta cos phi + sin theta sin phi cos k (split-step walk,
+    Kitagawa et al., PRA 82, 033429). omega/2 is taken from sin^2 and cos^2 of
+    omega/2, each written as a sum of nonnegative terms, so no cancellation
+    costs precision near omega = 0 or pi.
+    """
+    k = TWO_PI * np.arange(motif.n_couplers) / motif.n_couplers
+    theta, phi = motif.theta, motif.phi
+    s = np.sin(theta) * np.sin(phi)
+    sin2_k, cos2_k = np.sin(k / 2) ** 2, np.cos(k / 2) ** 2
+    if s < 0:  # phi -> -phi with k -> k + pi leaves cos omega as it is
+        phi, s, sin2_k, cos2_k = -phi, -s, cos2_k, sin2_k
+    sin2 = np.sin((theta - phi) / 2) ** 2 + s * sin2_k
+    cos2 = np.cos((theta + phi) / 2) ** 2 + s * cos2_k
+    omega = 2 * np.arctan2(np.sqrt(sin2), np.sqrt(cos2))
+    return np.concatenate([omega, -omega])
+
+
+def circle_distance(phases_a, phases_b):
+    """Largest |e^{ia} - e^{ib}| under the best pairing of two phase multisets."""
+    cost = np.abs(np.exp(1j * phases_a)[:, None] - np.exp(1j * phases_b)[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return cost[rows, cols].max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=30), st.integers(min_value=0, max_value=10**6))
+def test_clean_motif_spectrum_is_the_bloch_dispersion(n_couplers, seed):
+    motif = _scenario("pure", n_couplers, 1, seed).motif
+    phases = eigenvector_localization(build_motif(motif)).eigenphases
+    assert circle_distance(phases, bloch_phases(motif)) < 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=30),
+    st.integers(min_value=1, max_value=64),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_pure_product_spectrum_is_depth_times_the_dispersion(n_couplers, depth, seed):
+    sc = _scenario("pure", n_couplers, depth, seed)
+    phases = eigenvector_localization(compose(sc)).eigenphases
+    assert circle_distance(phases, depth * bloch_phases(sc.motif)) < 1e-12
+
+
+def test_shipped_pure_ring_has_eigenphases_on_the_branch_cut():
+    # theta = phi = pi/4, k = pi: omega = pi/2, so depth 10 lands on +-pi
+    sc = Scenario(kind="pure", motif=balanced(20), depth=10, seed=0)
+    report = eigenvector_localization(compose(sc))
+    assert report.branch_cut_count == 2
+    assert circle_distance(report.eigenphases, 10 * bloch_phases(sc.motif)) < 1e-12
 
 
 # --------------------------------------------------------------------- oracle
