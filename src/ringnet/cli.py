@@ -35,7 +35,7 @@ import numpy as np
 from .analysis import InsufficientSupportError, RegimeVerdict, classify
 from .analysis import eigenvector_localization
 from .config import ConfigError, RunConfig, effective_config, load_config, parse_config
-from .linalg import ConvergenceError, NonUnitaryError
+from .linalg import NonUnitaryError
 from .network import ScenarioKind, compose, disordered_motif
 from .simulate import DepthSample, Distribution, run_ensemble
 
@@ -230,7 +230,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (ConvergenceError, NonUnitaryError, InsufficientSupportError) as exc:
+    except (np.linalg.LinAlgError, NonUnitaryError, InsufficientSupportError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

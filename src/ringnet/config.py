@@ -66,20 +66,23 @@ def _expect_mapping(value, key):
     return value
 
 
-def _expect_int(value, key, minimum=None):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(key, f"expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(key, f"must be at least {minimum}, got {value}")
-    return value
+def _number(value, key, integer=False, low=None, high=None):
+    """Read one JSON number: the only place one becomes a Python number.
 
-
-def _expect_float(value, key, low=None, high=None):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(key, f"expected a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ConfigError(key, f"must be finite, got {value!r}")
+    Refuses a bool, a non-int where ``integer`` is set (else a non-number), a
+    value that is not finite or does not fit a double, and one outside
+    [low, high]. Returns an int where ``integer`` is set, else a float.
+    """
+    kinds, noun = (int, "an integer") if integer else ((int, float), "a number")
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ConfigError(key, f"expected {noun}, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int past the largest double
+        finite = False
+    if not finite:
+        raise ConfigError(key, "must be finite and fit a double")
+    value = value if integer else float(value)
     if low is not None and value < low:
         raise ConfigError(key, f"must be at least {low}, got {value}")
     if high is not None and value > high:
@@ -105,13 +108,16 @@ def _unique_keys(pairs) -> dict:
 def load_config(path: str) -> dict:
     """Read a JSON config file.
 
-    Text that is not UTF-8, malformed JSON and a key repeated within one
-    object are config errors, not I/O errors.
+    Text that is not UTF-8, or that ``json`` cannot turn into values
+    (malformed, nested too deep, an integer past Python's digit limit), and a
+    key repeated within one object are config errors, not I/O errors.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.loads(fh.read(), object_pairs_hook=_unique_keys)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ConfigError:
+        raise
+    except (ValueError, RecursionError) as exc:
         raise ConfigError("<config>", f"invalid JSON in {path}: {exc}") from exc
     return _expect_mapping(data, "<config>")
 
@@ -141,30 +147,34 @@ def parse_config(data, seed_override=None, runs_override=None) -> RunConfig:
             "scenario.kind", f"unknown kind {kind_name!r}; choose from {choices}"
         ) from None
 
-    n_couplers = _expect_int(
-        raw.pop("n_couplers", DEFAULT_N_COUPLERS), "scenario.n_couplers", minimum=2
-    )
+    n_couplers = raw.pop("n_couplers", DEFAULT_N_COUPLERS)
+    n_couplers = _number(n_couplers, "scenario.n_couplers", integer=True, low=2)
     if n_couplers > MAX_N_COUPLERS:
         raise ConfigError(
             "scenario.n_couplers",
             f"must be at most {MAX_N_COUPLERS}, got {n_couplers}; one 2N x 2N complex "
             f"matrix would need {16 * (2 * n_couplers) ** 2:,} bytes",
         )
-    theta = _expect_float(raw.pop("theta", DEFAULT_THETA), "scenario.theta")
-    phi = _expect_float(raw.pop("phi", DEFAULT_PHI), "scenario.phi")
-    alpha_fixed = _expect_float(
+    theta = _number(raw.pop("theta", DEFAULT_THETA), "scenario.theta")
+    phi = _number(raw.pop("phi", DEFAULT_PHI), "scenario.phi")
+    alpha_fixed = _number(
         raw.pop("alpha_fixed", 0.0), "scenario.alpha_fixed", low=0.0, high=TWO_PI
     )
-    alpha_layer = _expect_float(
+    alpha_layer = _number(
         raw.pop("alpha_layer", 0.0), "scenario.alpha_layer", low=0.0, high=TWO_PI
     )
     internal = _expect_bool(
         raw.pop("motif_internal_phases", True), "scenario.motif_internal_phases"
     )
+    if not internal and kind is not ScenarioKind.FULLY_RANDOM:
+        raise ConfigError(
+            "scenario.motif_internal_phases",
+            f"false applies only to fully-random, not {kind.value!r}",
+        )
     seed = raw.pop("seed", DEFAULT_SEED)
     if seed_override is not None:
         seed = seed_override
-    seed = _expect_int(seed, "scenario.seed", minimum=0)
+    seed = _number(seed, "scenario.seed", integer=True, low=0)
     if raw:
         raise ConfigError(f"scenario.{next(iter(raw))}", "unknown key")
 
@@ -174,7 +184,7 @@ def parse_config(data, seed_override=None, runs_override=None) -> RunConfig:
     if not isinstance(raw_depths, list) or not raw_depths:
         raise ConfigError("depths", "expected a nonempty array of step counts")
     depths = tuple(
-        _expect_int(d, f"depths[{i}]", minimum=1) for i, d in enumerate(raw_depths)
+        _number(d, f"depths[{i}]", integer=True, low=1) for i, d in enumerate(raw_depths)
     )
     for i in range(1, len(depths)):
         if depths[i] <= depths[i - 1]:
@@ -193,8 +203,8 @@ def parse_config(data, seed_override=None, runs_override=None) -> RunConfig:
     except ValueError as exc:
         raise ConfigError("scenario", str(exc)) from exc
 
-    input_port = _expect_int(
-        data.pop("input_port", n_couplers), "input_port", minimum=1
+    input_port = _number(
+        data.pop("input_port", n_couplers), "input_port", integer=True, low=1
     )
     if input_port > scenario.n_modes:
         raise ConfigError(
@@ -205,7 +215,7 @@ def parse_config(data, seed_override=None, runs_override=None) -> RunConfig:
     runs = data.pop("runs", DEFAULT_RUNS)
     if runs_override is not None:
         runs = runs_override
-    runs = _expect_int(runs, "runs", minimum=1)
+    runs = _number(runs, "runs", integer=True, low=1)
 
     raw_emit = data.pop("emit", list(DEFAULT_EMIT))
     if not isinstance(raw_emit, list):
@@ -220,17 +230,14 @@ def parse_config(data, seed_override=None, runs_override=None) -> RunConfig:
         if name not in emit:
             emit.append(name)
 
-    fit_floor = _expect_float(
-        data.pop("fit_floor", DEFAULT_FIT_FLOOR), "fit_floor", low=0.0
-    )
+    fit_floor = _number(data.pop("fit_floor", DEFAULT_FIT_FLOOR), "fit_floor", low=0.0)
     if fit_floor >= 1.0:
         raise ConfigError("fit_floor", f"must be below 1, got {fit_floor}")
 
     raw_thresholds = data.pop("thresholds", list(DEFAULT_THRESHOLDS))
     if not isinstance(raw_thresholds, list) or len(raw_thresholds) != 2:
         raise ConfigError("thresholds", "expected an array of two ratio bounds")
-    low = _expect_float(raw_thresholds[0], "thresholds[0]")
-    high = _expect_float(raw_thresholds[1], "thresholds[1]")
+    low, high = (_number(t, f"thresholds[{i}]") for i, t in enumerate(raw_thresholds))
     if not 0.0 < low <= high:
         raise ConfigError("thresholds", f"must satisfy 0 < low <= high, got {raw_thresholds}")
 
@@ -240,7 +247,7 @@ def parse_config(data, seed_override=None, runs_override=None) -> RunConfig:
         if not isinstance(raw_alphas, list) or not raw_alphas:
             raise ConfigError("alphas", "expected a nonempty array of strengths")
         alphas = tuple(
-            _expect_float(a, f"alphas[{i}]", low=0.0, high=TWO_PI)
+            _number(a, f"alphas[{i}]", low=0.0, high=TWO_PI)
             for i, a in enumerate(raw_alphas)
         )
 

@@ -20,10 +20,6 @@ class NonUnitaryError(ValueError):
     """Raised when an operation requires a unitary matrix and the input is not."""
 
 
-class ConvergenceError(RuntimeError):
-    """Raised when the underlying eigenvalue iteration fails to converge."""
-
-
 class BranchCutWarning(UserWarning):
     """Eigenphases lie close enough to +/-pi for the log branch to be ambiguous."""
 
@@ -58,9 +54,9 @@ def eig_unitary(a) -> tuple[np.ndarray, np.ndarray]:
     ------
     NonUnitaryError
         If the unitarity defect of ``a`` is not below ``UNITARITY_TOL``.
-    ConvergenceError
-        If the QR iteration behind the Schur form fails; the message carries
-        the failure index reported by the backend.
+    numpy.linalg.LinAlgError
+        Raised by ``scipy.linalg.schur`` if the QR iteration behind the Schur
+        form fails to converge.
     """
     a = as_matrix(a)
     defect = unitarity_defect(a)
@@ -71,10 +67,7 @@ def eig_unitary(a) -> tuple[np.ndarray, np.ndarray]:
     # imported on first use: scipy.linalg is slow to load and only spectral runs need it
     import scipy.linalg
 
-    try:
-        t, z = scipy.linalg.schur(a, output="complex")
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"Schur iteration did not converge: {exc}") from exc
+    t, z = scipy.linalg.schur(a, output="complex")
     return np.diag(t).copy(), z
 
 

@@ -71,13 +71,11 @@ class RngStream:
 
     Streams with distinct indices under one master seed are statistically
     independent, and the draw sequence for a given address never changes.
+    numpy's SeedSequence refuses a negative seed or index with ValueError.
     """
 
     def __init__(self, master_seed: int, stream_index: int):
-        if master_seed < 0 or stream_index < 0:
-            raise ValueError("seed and stream index must be nonnegative")
-        seq = np.random.SeedSequence([int(master_seed), int(stream_index)])
-        self._gen = np.random.Generator(np.random.PCG64(seq))
+        self._gen = np.random.default_rng([int(master_seed), int(stream_index)])
 
     def uniform(self, count: int) -> np.ndarray:
         """Next ``count`` draws from Uniform[0, 1); numpy rejects count < 0."""

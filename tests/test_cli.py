@@ -459,6 +459,46 @@ def test_exit_1_on_ring_too_large_for_dense_matrices(tmp_path, capsys):
     assert not out.exists()
 
 
+LONG_INT = "9" * 400  # an integer literal past the largest double, about 1.8e308
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+FRESH = {"kind": "fully-random", "alpha_layer": TWO_PI, "seed": 7}
+
+
+@pytest.mark.parametrize(
+    "overrides, literal, key",
+    [
+        *(
+            pytest.param({"scenario": {**FRESH, name: "@"}}, LONG_INT, f"scenario.{name}", id=name)
+            for name in ("theta", "phi", "alpha_fixed", "alpha_layer")
+        ),
+        pytest.param({"fit_floor": "@"}, LONG_INT, "fit_floor", id="fit_floor"),
+        pytest.param({"thresholds": [0.8, "@"]}, LONG_INT, "thresholds[1]", id="thresholds"),
+        pytest.param({"alphas": ["@"]}, LONG_INT, "alphas[0]", id="alphas"),
+        pytest.param(
+            {"scenario": {**FRESH, "n_couplers": "@"}},
+            "1" + "0" * 2200,
+            "scenario.n_couplers",
+            id="n_couplers",
+        ),
+        pytest.param(
+            {"scenario": {**FRESH, "seed": "@"}},
+            "1" * (INT_DIGIT_LIMIT + 1),
+            "<config>",
+            marks=pytest.mark.skipif(INT_DIGIT_LIMIT == 0, reason="no int digit limit"),
+            id="seed-past-digit-limit",
+        ),
+    ],
+)
+def test_exit_1_on_number_too_large_for_a_double(tmp_path, capsys, overrides, literal, key):
+    text = json.dumps({"scenario": FRESH, "depths": [2, 6], "runs": 5, **overrides})
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(text.replace('"@"', literal))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {key}")
+    assert not out.exists()
+
+
 def test_exit_1_on_missing_config_flag(capsys):
     assert main(["simulate"]) == 1
     assert "config error" in capsys.readouterr().err
@@ -492,6 +532,20 @@ def test_exit_2_on_non_unitary_step_factors(tmp_path, monkeypatch, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "o"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "numerical failure" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_exit_2_on_schur_failure(tmp_path, monkeypatch, capsys):
+    import scipy.linalg
+
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("schur: QR iteration did not converge")
+
+    monkeypatch.setattr(scipy.linalg, "schur", no_convergence)
+    cfg = write_config(tmp_path, scenario={"kind": "fixed-disorder", "alpha_fixed": 1.0})
+    out = tmp_path / "o"
+    assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 2
     assert "numerical failure" in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
@@ -538,6 +592,22 @@ def test_subprocess_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "effective_config.json").exists()
+
+
+def test_subprocess_entry_point_reports_oversized_number_without_traceback(tmp_path):
+    cfg = tmp_path / "huge.json"
+    cfg.write_text('{"scenario": {"kind": "pure", "theta": %s}, "depths": [1]}' % LONG_INT)
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "ringnet", "simulate", "--config", str(cfg), "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=checkout_env(),
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("config error: scenario.theta")
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 THREAD_VARS = (

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import sys
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,8 @@ from ringnet.config import (
     parse_config,
 )
 from ringnet.network import ScenarioKind
+
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def minimal(kind="pure", **scenario_extra):
@@ -139,6 +142,42 @@ def test_bool_is_not_an_int():
     assert err.value.key == "runs"
 
 
+@pytest.mark.parametrize(
+    "data, key",
+    [
+        (minimal(theta=10**400), "scenario.theta"),
+        (minimal(n_couplers=10**2200), "scenario.n_couplers"),
+        (minimal(seed=-(10**400)), "scenario.seed"),
+        ({**minimal(), "runs": 10**400}, "runs"),
+        ({**minimal(), "depths": [1, 10**400]}, "depths[1]"),
+        (minimal(phi=float("nan")), "scenario.phi"),
+        ({**minimal(), "fit_floor": float("-inf")}, "fit_floor"),
+    ],
+    ids=["float-key", "n_couplers", "seed", "runs", "depths", "nan", "inf"],
+)
+def test_numbers_must_be_finite_doubles(data, key):
+    with pytest.raises(ConfigError) as err:
+        parse_config(data)
+    assert err.value.key == key
+    assert err.value.message == "must be finite and fit a double"
+
+
+def test_integers_within_a_double_keep_their_exact_value():
+    cfg = parse_config(minimal(seed=2**64 + 1, theta=3))
+    assert cfg.scenario.seed == 2**64 + 1
+    assert type(cfg.scenario.motif.theta) is float
+
+
+@pytest.mark.parametrize("kind", ["pure", "fixed-disorder", "intermediate"])
+def test_internal_phases_flag_can_be_turned_off_only_for_fully_random(kind):
+    with pytest.raises(ConfigError) as err:
+        parse_config(minimal(kind=kind, motif_internal_phases=False))
+    assert err.value.key == "scenario.motif_internal_phases"
+    assert parse_config(minimal(kind=kind, motif_internal_phases=True))
+    cfg = parse_config(minimal(kind="fully-random", motif_internal_phases=False))
+    assert cfg.scenario.motif_internal_phases is False
+
+
 def test_input_port_rejects_out_of_range():
     data = {**minimal(), "input_port": 41}
     with pytest.raises(ConfigError) as err:
@@ -234,6 +273,36 @@ def test_repeated_key_rejected_at_any_depth(tmp_path, text, key):
     path.write_text(text)
     with pytest.raises(ConfigError, match=f"'{key}'"):
         load_config(str(path))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(
+            '{"scenario": {"kind": "pure", "seed": %s}, "depths": [1]}'
+            % ("1" * (INT_DIGIT_LIMIT + 1)),
+            marks=pytest.mark.skipif(INT_DIGIT_LIMIT == 0, reason="no int digit limit"),
+            id="int-past-digit-limit",
+        ),
+        pytest.param("[" * 100_000 + "]" * 100_000, id="nested-too-deep"),
+        pytest.param('{"scenario": {"kind": "pure"}, "depths": [1]', id="malformed"),
+    ],
+)
+def test_text_json_cannot_read_is_a_config_error(tmp_path, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path))
+    assert err.value.key == "<config>"
+    assert err.value.message.startswith("invalid JSON in ")
+
+
+def test_repeated_key_keeps_its_own_message(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"runs": 5, "runs": 1}')
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path))
+    assert err.value.message == "key 'runs' appears twice in one object"
 
 
 def test_top_level_must_be_an_object():
