@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import NonUnitaryError
+
 TWO_PI = 2.0 * np.pi
 
 
@@ -160,40 +162,47 @@ class Scenario:
         return self.motif.n_modes
 
 
-def scenario_step_factors(scenario: Scenario, rng: RngStream):
-    """Yield the transfer-matrix factor of each step, left factor last.
+def scenario_layers(scenario: Scenario, rng: RngStream):
+    """The repeated step u of one realization and an iterator of its phase layers.
+
+    u is the motif with any frozen layer folded in. The iterator yields each
+    step's diagonal (before, after) phase factors, either one None, so step m is
+    diag(after) u diag(before), as tabled below.
 
     Stream consumption contract, which downstream code and the tests rely on:
-    any once-per-scenario layer is drawn first, then per-step layers in step
-    order; when a step has both an internal and an inter-motif layer the
-    internal one is drawn first. Every layer draw consumes exactly n_modes
-    uniforms regardless of its strength.
-
-    One loop serves every kind: a frozen layer is folded into the motif once,
-    then each step applies a fresh layer before the motif (D', D'') and, for
-    fully-random, one after it (D_m).
+    a frozen layer is drawn first, by this call, then per-step layers in step
+    order as the iterator runs, a step's internal layer before its inter-motif
+    one. Every layer draw consumes n_modes uniforms whatever its strength.
 
     pure:            U, U, ..., U
     fixed-disorder:  U D with one D = diag phases drawn once
     fully-random:    (U D'_m) D_m, D_m omitted after the last step
     intermediate:    U D D''_m with the fixed D drawn once, D''_m per step
     """
-    n = scenario.n_modes
-    kind = scenario.kind
+    n, kind = scenario.n_modes, scenario.kind
+    # only fully-random skips its internal layer, drawn all the same to keep the stream aligned
+    internal = scenario.motif_internal_phases or kind is not ScenarioKind.FULLY_RANDOM
     u = build_motif(scenario.motif)
     if kind.frozen:
         u = u * np.exp(1j * build_phase_layer(n, scenario.alpha_fixed, rng))
-    for m in range(scenario.depth):
-        before = after = None
-        if kind.fresh:
-            before = np.exp(1j * build_phase_layer(n, scenario.alpha_layer, rng))
-        if kind is ScenarioKind.FULLY_RANDOM:
-            if not scenario.motif_internal_phases:
-                before = None  # drawn all the same, so the stream stays aligned
-            if m < scenario.depth - 1:
-                # nothing follows the last motif, so its between-layer is
-                # neither drawn nor applied
+
+    def layers():
+        for m in range(scenario.depth):
+            before = after = None
+            if kind.fresh:
+                before = np.exp(1j * build_phase_layer(n, scenario.alpha_layer, rng))
+            if kind is ScenarioKind.FULLY_RANDOM and m < scenario.depth - 1:
+                # nothing follows the last motif: its between-layer is never drawn
                 after = np.exp(1j * build_phase_layer(n, scenario.alpha_layer, rng))
+            yield (before if internal else None), after
+
+    return u, layers()
+
+
+def scenario_step_factors(scenario: Scenario, rng: RngStream):
+    """Yield each step's dense factor diag(after) u diag(before), left factor last."""
+    u, layers = scenario_layers(scenario, rng)
+    for before, after in layers:
         step = u if before is None else u * before
         yield step if after is None else after[:, None] * step
 
@@ -204,12 +213,16 @@ def compose(scenario: Scenario) -> np.ndarray:
     Later steps multiply from the left, so the result applied to a column
     vector runs the steps in order. Draws from stream 0 of the scenario seed.
 
-    pure and fixed-disorder repeat one step, so its depth-th power is taken
-    by squaring: O(N^3 log depth). The kinds with fresh layers multiply
-    every step in turn: O(N^3 depth).
+    pure and fixed-disorder repeat one step, so its depth-th power is taken by
+    squaring, O(N^3 log depth), raising NonUnitaryError if it overflows. The
+    kinds with fresh layers multiply every step in turn: O(N^3 depth).
     """
     if not scenario.kind.fresh:
-        return np.linalg.matrix_power(disordered_motif(scenario), scenario.depth)
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = np.linalg.matrix_power(disordered_motif(scenario), scenario.depth)
+        if not np.isfinite(w).all():
+            raise NonUnitaryError(f"the step's power at depth {scenario.depth} overflowed")
+        return w
     w = np.eye(scenario.n_modes, dtype=np.complex128)
     for factor in scenario_step_factors(scenario, RngStream(scenario.seed, 0)):
         w = factor @ w
@@ -222,5 +235,4 @@ def disordered_motif(scenario: Scenario) -> np.ndarray:
     Uses the same stream-0 draws as ``compose``, so for a fixed-disorder
     scenario this is exactly the repeated-step matrix of the full product.
     """
-    rng = RngStream(scenario.seed, 0)
-    return next(iter(scenario_step_factors(scenario, rng)))
+    return next(scenario_step_factors(scenario, RngStream(scenario.seed, 0)))

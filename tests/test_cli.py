@@ -518,13 +518,13 @@ def test_exit_2_on_numerical_failure(tmp_path, capsys):
 
 
 def test_exit_2_on_non_unitary_step_factors(tmp_path, monkeypatch, capsys):
-    real_factors = ringnet.simulate.scenario_step_factors
+    real_layers = ringnet.simulate.scenario_layers
 
-    def inflated_factors(*args, **kwargs):
-        for factor in real_factors(*args, **kwargs):
-            yield 1.001 * factor
+    def inflated_step(*args, **kwargs):
+        u, layers = real_layers(*args, **kwargs)
+        return 1.001 * u, layers
 
-    monkeypatch.setattr(ringnet.simulate, "scenario_step_factors", inflated_factors)
+    monkeypatch.setattr(ringnet.simulate, "scenario_layers", inflated_step)
     motif = MotifParams(n_couplers=4, theta=np.pi / 4, phi=np.pi / 4)
     sc = Scenario(kind="pure", motif=motif, depth=3, seed=0)
     with pytest.raises(NonUnitaryError):
@@ -532,6 +532,16 @@ def test_exit_2_on_non_unitary_step_factors(tmp_path, monkeypatch, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "o"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "numerical failure" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_exit_2_when_the_repeated_step_overflows(tmp_path, capsys):
+    # squaring the step about 97 times lets its round-off grow until the power is inf
+    cfg = write_config(tmp_path, scenario={"kind": "pure", "n_couplers": 2},
+                       depths=[1, 10**29])
+    out = tmp_path / "o"
+    assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 2
     assert "numerical failure" in capsys.readouterr().err
     assert list(out.iterdir()) == []
 

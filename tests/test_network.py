@@ -19,6 +19,7 @@ from ringnet.network import (
     build_phase_layer,
     compose,
     disordered_motif,
+    scenario_layers,
     scenario_step_factors,
 )
 
@@ -354,6 +355,56 @@ def test_intermediate_draw_order_fixed_layer_first():
     got = list(scenario_step_factors(sc, RngStream(sc.seed, 0)))
     np.testing.assert_allclose(got[0], base * np.exp(1j * s1), atol=1e-15)
     np.testing.assert_allclose(got[1], base * np.exp(1j * s2), atol=1e-15)
+
+
+# each kind's draws in stream order at depth 3: the frozen layer, then every
+# step's internal layer before its between-layer
+LAYER_DRAWS = {
+    "pure": [],
+    "fixed-disorder": ["frozen"],
+    "fully-random": ["before0", "after0", "before1", "after1", "before2"],
+    "intermediate": ["frozen", "before0", "before1", "before2"],
+}
+
+
+@pytest.mark.parametrize(
+    ("kind", "internal"),
+    [(kind, True) for kind in LAYER_DRAWS] + [("fully-random", False)],
+)
+def test_scenario_layers_draw_order(kind, internal):
+    alphas = {
+        "fixed-disorder": {"alpha_fixed": 1.0},
+        "fully-random": {"alpha_layer": 2.5},
+        "intermediate": {"alpha_fixed": 1.0, "alpha_layer": 0.5},
+    }.get(kind, {})
+    sc = dataclasses.replace(
+        _scenario(kind, 3, 3, 14, **alphas), motif_internal_phases=internal
+    )
+    n = sc.n_modes
+    ref = RngStream(sc.seed, 0)
+    strength = {"frozen": sc.alpha_fixed}
+    drawn = {
+        label: np.exp(1j * (strength.get(label, sc.alpha_layer) * ref.uniform(n)))
+        for label in LAYER_DRAWS[kind]
+    }
+
+    rng = RngStream(sc.seed, 0)
+    u, layers = scenario_layers(sc, rng)
+    want_u = build_motif(sc.motif)
+    if "frozen" in drawn:
+        want_u = want_u * drawn["frozen"]
+    np.testing.assert_array_equal(u, want_u)
+    got = list(layers)
+    assert len(got) == sc.depth
+    for m, (before, after) in enumerate(got):
+        want_before = drawn.get(f"before{m}") if internal else None
+        for layer, want in ((before, want_before), (after, drawn.get(f"after{m}"))):
+            if want is None:
+                assert layer is None
+            else:
+                np.testing.assert_array_equal(layer, want)
+    # a realization leaves the stream where the documented draws end
+    assert rng.uniform(1) == ref.uniform(1)
 
 
 # ------------------------------------------------- clean-ring Bloch spectrum

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ringnet.network
+import ringnet.simulate
 from ringnet.linalg import NonUnitaryError
 from ringnet.network import (
     TWO_PI,
@@ -124,6 +126,13 @@ def test_output_distribution_tolerates_mild_column_rescale():
     w = np.eye(4) * (1.0 + 1e-9)
     p = output_distribution(w[:, 1], 1)
     assert p.sum() == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("squared_norm", [1.0 + 2e-8, 1.0 - 2e-8])
+def test_output_distribution_refuses_a_norm_off_by_2e_8(squared_norm):
+    x = np.array([np.sqrt(squared_norm) + 0j, 0j])
+    with pytest.raises(NonUnitaryError, match="from mode 0 have squared norm .* within 1e-08"):
+        output_distribution(x, 0)
 
 
 def test_output_distribution_rejects_nan_amplitudes():
@@ -276,22 +285,51 @@ def test_ensemble_is_the_mean_of_its_dense_realizations(
     )
     port = 2 * n_couplers - 1 if last_port else 0
     res = run_ensemble(sc, port, depths=range(1, depth + 1), runs=runs)
+    assert_matches_dense_realizations(res, dense_realization_means(sc, port, runs))
 
-    # realization r is the dense product of the factors stream r yields
-    sums = np.zeros((depth, sc.n_modes))
-    ipr_sums = np.zeros(depth)
+
+def dense_realization_means(sc, port, runs):
+    """Per-depth mean distribution and mean IPR over dense realizations.
+
+    Realization r is the dense product of the factors stream r yields.
+    """
+    sums = np.zeros((sc.depth, sc.n_modes))
+    ipr_sums = np.zeros(sc.depth)
     for r in range(runs):
         w = np.eye(sc.n_modes, dtype=np.complex128)
-        for step, factor in enumerate(scenario_step_factors(sc, RngStream(seed, r))):
+        for step, factor in enumerate(scenario_step_factors(sc, RngStream(sc.seed, r))):
             w = factor @ w
             dist = propagate(w, port)
             sums[step] += dist.probabilities
             ipr_sums[step] += dist.ipr()
-    for sample, total, ipr_total in zip(res.samples, sums, ipr_sums):
+    return sums / runs, ipr_sums / runs
+
+
+def assert_matches_dense_realizations(res, dense):
+    for sample, mean, ipr_mean in zip(res.samples, *dense, strict=True):
         np.testing.assert_allclose(
-            sample.distribution.probabilities, total / runs, rtol=0, atol=1e-14
+            sample.distribution.probabilities, mean, rtol=0, atol=1e-14
         )
-        assert sample.realization_ipr_mean == pytest.approx(ipr_total / runs, abs=1e-14)
+        assert sample.realization_ipr_mean == pytest.approx(ipr_mean, abs=1e-14)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_ensemble_builds_no_dense_step_factor(kind, monkeypatch):
+    alphas = {
+        "fixed-disorder": {"alpha_fixed": 2.0},
+        "fully-random": {"alpha_layer": TWO_PI},
+        "intermediate": {"alpha_fixed": 2.0, "alpha_layer": 1.0},
+    }.get(kind, {})
+    sc = Scenario(kind=kind, motif=balanced(4), depth=6, seed=5, **alphas)
+    dense = dense_realization_means(sc, 3, runs=4)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_ensemble built a dense step factor")
+
+    monkeypatch.setattr(ringnet.network, "scenario_step_factors", refuse)
+    monkeypatch.setattr(ringnet.simulate, "scenario_step_factors", refuse)
+    res = run_ensemble(sc, 3, depths=range(1, 7), runs=4)
+    assert_matches_dense_realizations(res, dense)
 
 
 def test_ensemble_is_deterministic():
