@@ -126,7 +126,8 @@ class Scenario:
 
     For fully-random scenarios each step applies two independent layers: one
     inside the motif and one between motifs; motif_internal_phases turns the
-    internal layer off while keeping the stream consumption identical.
+    internal layer off while keeping the stream consumption identical. Other
+    kinds have no internal layer and must leave it True.
     """
 
     kind: ScenarioKind
@@ -156,6 +157,8 @@ class Scenario:
             raise ValueError(
                 f"alpha_layer is not used by kind {self.kind.value!r} and must be 0"
             )
+        if not (self.motif_internal_phases or self.kind is ScenarioKind.FULLY_RANDOM):
+            raise ValueError(f"kind {self.kind.value!r} cannot set motif_internal_phases=False")
 
     @property
     def n_modes(self) -> int:
@@ -180,8 +183,6 @@ def scenario_layers(scenario: Scenario, rng: RngStream):
     intermediate:    U D D''_m with the fixed D drawn once, D''_m per step
     """
     n, kind = scenario.n_modes, scenario.kind
-    # only fully-random skips its internal layer, drawn all the same to keep the stream aligned
-    internal = scenario.motif_internal_phases or kind is not ScenarioKind.FULLY_RANDOM
     u = build_motif(scenario.motif)
     if kind.frozen:
         u = u * np.exp(1j * build_phase_layer(n, scenario.alpha_fixed, rng))
@@ -194,7 +195,7 @@ def scenario_layers(scenario: Scenario, rng: RngStream):
             if kind is ScenarioKind.FULLY_RANDOM and m < scenario.depth - 1:
                 # nothing follows the last motif: its between-layer is never drawn
                 after = np.exp(1j * build_phase_layer(n, scenario.alpha_layer, rng))
-            yield (before if internal else None), after
+            yield (before if scenario.motif_internal_phases else None), after
 
     return u, layers()
 
@@ -207,6 +208,15 @@ def scenario_step_factors(scenario: Scenario, rng: RngStream):
         yield step if after is None else after[:, None] * step
 
 
+def advance(u: np.ndarray, layers, x: np.ndarray):
+    """Yield the (2N, k) column states x after each step diag(after) u diag(before),
+    scaling rows by the phase layers, O(N k), so only u is multiplied, O(N^2 k)."""
+    for before, after in layers:
+        x = u @ (x if before is None else before[:, None] * x)
+        x = x if after is None else after[:, None] * x
+        yield x
+
+
 def compose(scenario: Scenario) -> np.ndarray:
     """Full transfer matrix of a scenario: the product of all step factors.
 
@@ -215,17 +225,17 @@ def compose(scenario: Scenario) -> np.ndarray:
 
     pure and fixed-disorder repeat one step, so its depth-th power is taken by
     squaring, O(N^3 log depth), raising NonUnitaryError if it overflows. The
-    kinds with fresh layers multiply every step in turn: O(N^3 depth).
+    kinds with fresh layers push the identity through ``advance``: O(N^3 depth).
     """
+    u, layers = scenario_layers(scenario, RngStream(scenario.seed, 0))
     if not scenario.kind.fresh:
         with np.errstate(over="ignore", invalid="ignore"):
-            w = np.linalg.matrix_power(disordered_motif(scenario), scenario.depth)
+            w = np.linalg.matrix_power(u, scenario.depth)
         if not np.isfinite(w).all():
             raise NonUnitaryError(f"the step's power at depth {scenario.depth} overflowed")
         return w
-    w = np.eye(scenario.n_modes, dtype=np.complex128)
-    for factor in scenario_step_factors(scenario, RngStream(scenario.seed, 0)):
-        w = factor @ w
+    for w in advance(u, layers, np.eye(scenario.n_modes, dtype=np.complex128)):
+        pass  # keep only the last block: collecting them would hold depth matrices
     return w
 
 

@@ -2,8 +2,8 @@
 
 States live on the 2N modes of a ring. ``propagate`` reads the output
 distribution of one excitation off a composed transfer matrix; ensembles push
-the input column through each step (phase layers O(N), the motif O(N^2)) and
-average the distributions over realizations, with snapshots at chosen depths.
+the input column through ``network.advance``, as ``compose`` does the identity,
+and average the distributions over realizations at chosen snapshot depths.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import UNITARITY_TOL, NonUnitaryError, as_matrix, unitarity_defect
-from .network import RngStream, Scenario, scenario_layers
+from .network import RngStream, Scenario, advance, scenario_layers
 from .network import scenario_step_factors  # noqa: F401  (patched by perfbench's tracer)
 
 SUM_TOL = 1e-12
@@ -160,8 +160,8 @@ class EnsembleResult:
 def run_ensemble(scenario: Scenario, input_index: int, depths, runs: int) -> EnsembleResult:
     """Average output distributions over ``runs`` disorder realizations.
 
-    Each realization pushes one column, the unit vector on input_index,
-    through its steps: O(N) per phase layer plus one O(N^2) motif product.
+    Each realization pushes the unit vector on input_index through its steps
+    with ``advance``: O(N) per phase layer plus one O(N^2) motif product.
     depths must be strictly increasing with the last entry equal to
     scenario.depth, so every snapshot falls inside a single pass through the
     steps. Realization r draws from stream r of scenario.seed and
@@ -185,12 +185,10 @@ def run_ensemble(scenario: Scenario, input_index: int, depths, runs: int) -> Ens
     ipr_sums = {d: 0.0 for d in depths}
     for r in range(runs):
         u, layers = scenario_layers(scenario, RngStream(scenario.seed, r))
-        x = np.eye(1, n, input_index, dtype=np.complex128)[0]
-        for step, (before, after) in enumerate(layers, start=1):
-            x = u @ (x if before is None else before * x)
-            x = x if after is None else after * x
+        column = np.eye(n, 1, -input_index, dtype=np.complex128)
+        for step, x in enumerate(advance(u, layers, column), start=1):
             if step in sums:
-                p = output_distribution(x, input_index)
+                p = output_distribution(x[:, 0], input_index)
                 sums[step] += p
                 ipr_sums[step] += float(p @ p)  # Distribution.ipr of p
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+import ringnet.network
 from ringnet.analysis import eigenvector_localization
 from ringnet.linalg import unitarity_defect
 from ringnet.network import (
@@ -201,6 +202,19 @@ def test_scenario_rejects_bad_depth_and_alpha_range():
         )
 
 
+@pytest.mark.parametrize("kind", ["pure", "fixed-disorder", "intermediate"])
+def test_scenario_rejects_internal_flag_off_without_internal_layer(kind):
+    alphas = {"intermediate": {"alpha_fixed": 1.0, "alpha_layer": 1.0}}.get(kind, {})
+    with pytest.raises(ValueError, match="motif_internal_phases"):
+        Scenario(
+            kind=kind, motif=balanced(2), depth=1, seed=0,
+            motif_internal_phases=False, **alphas,
+        )
+
+
+KINDS = ["pure", "fully-random", "fixed-disorder", "intermediate"]
+
+
 def _scenario(kind, n_couplers, depth, seed, **alphas):
     gen = np.random.default_rng(seed + 1000)
     theta, phi = gen.uniform(-np.pi, np.pi, size=2)
@@ -258,21 +272,49 @@ powering_depth_st = st.one_of(
 )
 
 
+def sequential_product(sc):
+    """The dense product of every step factor stream 0 yields, later steps on the left."""
+    w = np.eye(sc.n_modes, dtype=np.complex128)
+    for factor in scenario_step_factors(sc, RngStream(sc.seed, 0)):
+        w = factor @ w
+    return w
+
+
 @settings(max_examples=40, deadline=None)
 @given(
-    st.sampled_from(["pure", "fixed-disorder"]),
+    st.sampled_from(KINDS),
     st.integers(min_value=2, max_value=12),
     powering_depth_st,
     st.integers(min_value=0, max_value=10**6),
     st.floats(min_value=0.0, max_value=TWO_PI),
+    st.floats(min_value=0.0, max_value=TWO_PI),
 )
-def test_repeated_step_power_equals_sequential_product(kind, n_couplers, depth, seed, af):
-    alphas = {"alpha_fixed": af} if kind == "fixed-disorder" else {}
+def test_compose_equals_sequential_product(kind, n_couplers, depth, seed, af, al):
+    alphas = {}
+    if kind in ("fixed-disorder", "intermediate"):
+        alphas["alpha_fixed"] = af
+    if kind in ("fully-random", "intermediate"):
+        alphas["alpha_layer"] = al
     sc = _scenario(kind, n_couplers, depth, seed, **alphas)
-    w = np.eye(sc.n_modes, dtype=np.complex128)
-    for factor in scenario_step_factors(sc, RngStream(sc.seed, 0)):
-        w = factor @ w
-    assert np.abs(compose(sc) - w).max() <= 1e-13
+    assert np.abs(compose(sc) - sequential_product(sc)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_compose_builds_no_dense_step_factor(kind, monkeypatch):
+    alphas = {
+        "fixed-disorder": {"alpha_fixed": 2.0},
+        "fully-random": {"alpha_layer": TWO_PI},
+        "intermediate": {"alpha_fixed": 2.0, "alpha_layer": 1.0},
+    }.get(kind, {})
+    sc = _scenario(kind, 4, 7, 5, **alphas)
+    dense = sequential_product(sc)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("compose built a dense step factor")
+
+    monkeypatch.setattr(ringnet.network, "scenario_step_factors", refuse)
+    monkeypatch.setattr(ringnet.network, "disordered_motif", refuse)
+    assert np.abs(compose(sc) - dense).max() <= 1e-13
 
 
 @settings(max_examples=20, deadline=None)

@@ -234,7 +234,7 @@ def test_single_run_ensemble_is_one_propagation(
         motif=MotifParams(n_couplers=n_couplers, theta=theta, phi=phi),
         depth=depth,
         seed=seed,
-        motif_internal_phases=internal,
+        motif_internal_phases=internal or kind != "fully-random",
         **alphas,
     )
     port = 2 * n_couplers - 1 if last_port else 0
@@ -280,7 +280,7 @@ def test_ensemble_is_the_mean_of_its_dense_realizations(
         motif=MotifParams(n_couplers=n_couplers, theta=theta, phi=phi),
         depth=depth,
         seed=seed,
-        motif_internal_phases=internal,
+        motif_internal_phases=internal or kind != "fully-random",
         **alphas,
     )
     port = 2 * n_couplers - 1 if last_port else 0
