@@ -13,12 +13,16 @@ run that fails on its config or numerically leaves at most an empty output
 directory.
 
 Exit codes: 0 success, 1 config problem or usage error, 2 numerical failure,
-3 I/O failure. Any other exception is a bug and ends with a traceback.
+3 I/O failure. Numerical failures include a ``LinAlgError`` from either
+LAPACK step of ``ringnet.linalg.eig_unitary``. Any other exception is a bug
+and ends with a traceback.
 Numbers are written as Python's shortest round-trip float text, so each one
 parses back to the exact double that was computed. All result files are
 deterministic byte for byte given the same config and the same BLAS thread
-count. Only ``spectral.json`` depends on that count: its Schur decompositions
-can move in the last digits between thread counts.
+count. Only ``spectral.json`` depends on that count: its eigendecompositions
+(a Hermitian eigensolve, a quarter to a half of the time of a full Schur,
+plus a small Schur per cluster of close eigenphase cosines) can move in the
+last digits between thread counts.
 """
 
 from __future__ import annotations

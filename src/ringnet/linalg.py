@@ -2,8 +2,14 @@
 
 Everything operates on plain numpy arrays: square complex matrices, double
 precision throughout. Operations validate shape and finiteness
-at entry instead of wrapping arrays in dedicated types. scipy is imported
-by ``eig_unitary`` on its first call, so only spectral runs load it.
+at entry instead of wrapping arrays in dedicated types.
+
+``eig_unitary`` diagonalizes a unitary through the Hermitian eigensolver of
+its Hermitian part, plus a small complex Schur for each cluster of equal or
+nearly equal eigenphase cosines; ``principal_log_unitary`` builds on it.
+Both raise ``numpy.linalg.LinAlgError`` when a LAPACK iteration fails to
+converge. scipy is imported by ``eig_unitary`` on its first call, so only
+spectral runs load it.
 """
 
 from __future__ import annotations
@@ -14,6 +20,12 @@ import numpy as np
 
 UNITARITY_TOL = 1e-8
 BRANCH_CUT_TOL = 1e-6
+# Eigenphase cosines closer than this are resolved together by ``eig_unitary``.
+# eigh mixes eigenvectors across a cosine gap delta by about eps*||H||/delta,
+# with eps = 2.2e-16 and ||H|| <= 1 for the Hermitian part H of a unitary, so
+# a cosine it leaves alone has its eigenvector off by at most ~2e-13 and its
+# Rayleigh-quotient eigenvalue off by about the square of that.
+COSINE_GAP = 1e-3
 
 
 class NonUnitaryError(ValueError):
@@ -45,18 +57,27 @@ def unitarity_defect(a) -> float:
 def eig_unitary(a) -> tuple[np.ndarray, np.ndarray]:
     """Unit-modulus eigenvalues and orthonormal eigenvector columns of a unitary.
 
-    Uses the complex Schur form: for a unitary input the triangular factor is
-    diagonal, so the Schur vectors are an orthonormal eigenbasis and the
-    reconstruction V diag(lambda) V^H matches the input to round-off. The
-    Schur form comes from ``scipy.linalg``, imported here on the first call.
+    A unitary U is normal, so it shares its eigenvectors with the Hermitian
+    H = (U + U^H)/2, whose eigenvalues are the cosines of U's eigenphases.
+    ``scipy.linalg.eigh`` (imported here on the first call) gives H's
+    ascending cosines and eigenvector columns V. Where a cosine stands
+    alone, its eigenvalue is the Rayleigh quotient v^H U v. Each run of
+    cosines whose gaps are below ``COSINE_GAP`` (a +/-omega pair, a repeat
+    or a near-repeat) spans an invariant subspace of U; a complex Schur of
+    that small block of V^H U V splits it, and its Schur vectors rotate the
+    run's columns of V. The cost is one Hermitian eigensolve, one matrix
+    product U V and a Schur per cluster: on one BLAS thread, a quarter to a
+    half of the time of a full complex Schur of U at 40 to 800 modes. The
+    reconstruction V diag(lambda) V^H matches the input to round-off.
 
     Raises
     ------
     NonUnitaryError
         If the unitarity defect of ``a`` is not below ``UNITARITY_TOL``.
     numpy.linalg.LinAlgError
-        Raised by ``scipy.linalg.schur`` if the QR iteration behind the Schur
-        form fails to converge.
+        Raised by ``scipy.linalg.eigh`` if the Hermitian eigensolve fails to
+        converge, or by ``scipy.linalg.schur`` if a cluster's QR iteration
+        does.
     """
     a = as_matrix(a)
     defect = unitarity_defect(a)
@@ -67,8 +88,20 @@ def eig_unitary(a) -> tuple[np.ndarray, np.ndarray]:
     # imported on first use: scipy.linalg is slow to load and only spectral runs need it
     import scipy.linalg
 
-    t, z = scipy.linalg.schur(a, output="complex")
-    return np.diag(t).copy(), z
+    # divide and conquer: its eigenvectors are orthonormal to ~1e-15 at 400 modes,
+    # where the default MRRR solver's were off by up to 9e-13 at the same speed
+    cosines, v = scipy.linalg.eigh((a + a.conj().T) / 2.0, driver="evd")
+    av = a @ v
+    eigenvalues = np.einsum("ij,ij->j", v.conj(), av)
+    gaps = np.diff(cosines, prepend=-np.inf, append=np.inf)
+    bounds = np.flatnonzero(gaps >= COSINE_GAP)
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        if stop - start > 1:
+            run = slice(start, stop)
+            t, z = scipy.linalg.schur(v[:, run].conj().T @ av[:, run], output="complex")
+            eigenvalues[run] = np.diag(t)
+            v[:, run] = v[:, run] @ z
+    return eigenvalues, v
 
 
 def branch_cut_count(phases) -> int:

@@ -560,6 +560,20 @@ def test_exit_2_on_schur_failure(tmp_path, monkeypatch, capsys):
     assert list(out.iterdir()) == []
 
 
+def test_exit_2_on_eigh_failure(tmp_path, monkeypatch, capsys):
+    import scipy.linalg
+
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigh: the eigensolver did not converge")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", no_convergence)
+    cfg = write_config(tmp_path, scenario={"kind": "fixed-disorder", "alpha_fixed": 1.0})
+    out = tmp_path / "o"
+    assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "numerical failure" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_other_exceptions_are_bugs_not_numerical_failures(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("a programming error")
@@ -671,9 +685,22 @@ def test_outputs_do_not_depend_on_thread_count(tmp_path, command, overrides):
     single = run_with_threads(tmp_path, command, cfg, 1)
     double = run_with_threads(tmp_path, command, cfg, 2)
     assert single.keys() == double.keys()
-    # LAPACK's Schur step may move spectral.json in its last digits
+    # LAPACK's Hermitian eigensolver and cluster Schur steps may move
+    # spectral.json in its last digits
     for name in single.keys() - {"spectral.json"}:
         assert single[name] == double[name], name
+    if "spectral.json" in single:
+        one, two = (json.loads(files["spectral.json"]) for files in (single, double))
+        assert one.keys() == two.keys()
+        for key, value in one.items():
+            if not isinstance(value, dict):
+                assert two[key] == value, key
+                continue
+            assert two[key].keys() == value.keys()
+            for field, numbers in value.items():
+                np.testing.assert_allclose(
+                    two[key][field], numbers, rtol=0, atol=1e-10, err_msg=f"{key}.{field}"
+                )
 
 
 # --------------------------------------------------------------- cold start

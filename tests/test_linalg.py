@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ringnet.analysis import band_mass_profile
 from ringnet.linalg import (
     BranchCutWarning,
     NonUnitaryError,
@@ -11,6 +14,14 @@ from ringnet.linalg import (
     eig_unitary,
     principal_log_unitary,
     unitarity_defect,
+)
+from ringnet.network import (
+    TWO_PI,
+    MotifParams,
+    Scenario,
+    ScenarioKind,
+    compose,
+    disordered_motif,
 )
 
 
@@ -93,9 +104,92 @@ def test_eig_unitary_round_trip(dim, seed):
     eigenvalues, v = eig_unitary(u)
     rebuilt = v @ np.diag(eigenvalues) @ v.conj().T
     assert np.abs(rebuilt - u).max() < 1e-8
-    # Schur of a unitary matrix gives an orthonormal eigenbasis
+    # the eigenvector columns form an orthonormal basis
     assert np.abs(v.conj().T @ v - np.eye(dim)).max() < 1e-10
     assert np.abs(np.abs(eigenvalues) - 1.0).max() < 1e-10
+
+
+@st.composite
+def planted_phases(draw):
+    """Eigenphases in (-pi, pi] with exact repeats, +/-omega pairs, pairs 1e-9
+    apart, 0 and pi. Apart from the 1e-9 pairs, distinct phases lie at least
+    0.1 apart, and none lies below -3."""
+    phases = [0.0] * draw(st.integers(0, 3)) + [np.pi] * draw(st.integers(0, 2))
+    for k in draw(st.sets(st.integers(1, 30), min_size=1, max_size=8)):
+        omega = draw(st.sampled_from([0.1, -0.1])) * k
+        shape = draw(st.sampled_from(["single", "repeat", "plus-minus", "near"]))
+        if shape == "single":
+            phases.append(omega)
+        elif shape == "repeat":
+            phases += [omega] * draw(st.integers(2, 3))
+        elif shape == "plus-minus":
+            phases += [omega, -omega]
+        else:
+            phases += [omega, omega + 1e-9]
+    return np.array(phases)
+
+
+@settings(max_examples=40, deadline=None)
+@given(planted_phases(), st.integers(min_value=0, max_value=10**6))
+def test_eig_unitary_recovers_a_planted_spectrum(phases, seed):
+    n = len(phases)
+    q = random_unitary(n, seed)
+    u = (q * np.exp(1j * phases)) @ q.conj().T
+    eigenvalues, v = eig_unitary(u)
+    assert np.abs(v.conj().T @ v - np.eye(n)).max() < 1e-12
+    assert np.abs((v * eigenvalues) @ v.conj().T - u).max() < 1e-12
+    found = np.angle(eigenvalues)
+    # pi may come back as -pi; no planted phase lies below -3
+    found[found < -3.1] += TWO_PI
+    np.testing.assert_allclose(np.sort(found), np.sort(phases), rtol=0, atol=1e-12)
+    # a repeated eigenvalue has no preferred basis, but its spectral projector is unique
+    for omega in np.unique(phases):
+        planted = phases == omega
+        if planted.sum() > 1:
+            cluster = np.abs(eigenvalues - np.exp(1j * omega)) < 1e-6
+            assert cluster.sum() == planted.sum()
+            expected = q[:, planted] @ q[:, planted].conj().T
+            assert np.abs(v[:, cluster] @ v[:, cluster].conj().T - expected).max() < 1e-10
+
+
+def schur_referee(u):
+    """Eigenphases and principal-log generator from a full complex Schur of u."""
+    t, z = scipy.linalg.schur(u, output="complex")
+    phases = np.angle(np.diag(t))
+    h = (z * phases) @ z.conj().T
+    return phases, (h + h.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("n_couplers", [2, 20, 50])
+@pytest.mark.parametrize(
+    "kind, build",
+    [
+        (ScenarioKind.FIXED_DISORDER, disordered_motif),
+        (ScenarioKind.FIXED_DISORDER, compose),
+        (ScenarioKind.FULLY_RANDOM, compose),
+    ],
+    ids=["fixed-disorder-step", "fixed-disorder-product", "fully-random-product"],
+)
+def test_eig_unitary_agrees_with_full_schur(kind, build, n_couplers):
+    strength = {"alpha_fixed" if kind.frozen else "alpha_layer": TWO_PI}
+    scenario = Scenario(
+        kind=kind,
+        motif=MotifParams(n_couplers=n_couplers, theta=np.pi / 4, phi=np.pi / 4),
+        depth=10,
+        seed=3,
+        **strength,
+    )
+    u = build(scenario)
+    phases, h_ref = schur_referee(u)
+    eigenvalues, _ = eig_unitary(u)
+    np.testing.assert_allclose(
+        np.sort(np.angle(eigenvalues)), np.sort(phases), rtol=0, atol=1e-13
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BranchCutWarning)
+        h = principal_log_unitary(u)
+    assert np.abs(h - h_ref).max() < 1e-12
+    assert np.abs(band_mass_profile(h) - band_mass_profile(h_ref)).max() < 1e-12
 
 
 def test_eig_rejects_non_unitary():
@@ -126,7 +220,7 @@ def test_log_is_hermitian():
 def test_log_round_trip_against_expm(dim, seed):
     u = random_unitary(dim, seed)
     h = principal_log_unitary(u)
-    # scipy's scaling-and-squaring exponential is independent of the Schur log
+    # scipy's scaling-and-squaring exponential is independent of the eigensolver
     rebuilt = scipy.linalg.expm(1j * h)
     assert np.abs(rebuilt - u).max() < 1e-7
 
