@@ -46,26 +46,23 @@ class MotifParams:
         return 2 * self.n_couplers
 
 
-def _rotate_pairs(x: np.ndarray, angle: float, first: int) -> np.ndarray:
-    """Rotate the row pairs (k, k+1 mod 2N), k = first, first+2, ..., of x by
-    the coupler [[c, s], [-s, c]], c and s the cosine and sine of angle."""
-    lo = np.arange(first, len(x), 2)
-    hi = (lo + 1) % len(x)
-    c, s = np.cos(angle), np.sin(angle)
-    y = np.empty_like(x)
-    y[lo] = c * x[lo] + s * x[hi]
-    y[hi] = c * x[hi] - s * x[lo]
-    return y
-
-
 def build_motif(params: MotifParams) -> np.ndarray:
     """Transfer matrix of one disorder-free motif: A sublayer times B sublayer.
 
     B rotates the pairs that start at mode 1 by phi, its last pair (2N-1, 0)
-    closing the ring; A then rotates the pairs (0,1), (2,3), ... by theta.
+    closing the ring; A then rotates the pairs (0,1), (2,3), ... by theta, each
+    coupler [[c, s], [-s, c]]. Rows 2j and 2j+1 of the product are nonzero only
+    in columns 2j-1 ... 2j+2 (mod 2N), four entries each, written in O(N).
     """
-    b = _rotate_pairs(np.eye(params.n_modes, dtype=np.complex128), params.phi, 1)
-    return _rotate_pairs(b, params.theta, 0)
+    n = params.n_modes
+    ct, st = np.cos(params.theta), np.sin(params.theta)
+    cp, sp = np.cos(params.phi), np.sin(params.phi)
+    block = np.array([[-ct * sp, ct * cp, st * cp, st * sp],
+                      [st * sp, -st * cp, ct * cp, ct * sp]])
+    starts = np.arange(0, n, 2)[:, None, None]
+    m = np.zeros((n, n), dtype=np.complex128)
+    m[starts + np.arange(2)[:, None], (starts + np.arange(-1, 3)) % n] = block
+    return m
 
 
 class RngStream:
@@ -182,20 +179,21 @@ def scenario_layers(scenario: Scenario, rng: RngStream):
     fully-random:    (U D'_m) D_m, D_m omitted after the last step
     intermediate:    U D D''_m with the fixed D drawn once, D''_m per step
     """
-    n, kind = scenario.n_modes, scenario.kind
+    n, kind, depth = scenario.n_modes, scenario.kind, scenario.depth
     u = build_motif(scenario.motif)
     if kind.frozen:
         u = u * np.exp(1j * build_phase_layer(n, scenario.alpha_fixed, rng))
+    if not kind.fresh:
+        return u, ((None, None) for _ in range(depth))
+    alpha, internal = scenario.alpha_layer, scenario.motif_internal_phases
+    # nothing follows the last motif: its between-layer is never drawn
+    between = depth - 1 if kind is ScenarioKind.FULLY_RANDOM else 0
 
     def layers():
-        for m in range(scenario.depth):
-            before = after = None
-            if kind.fresh:
-                before = np.exp(1j * build_phase_layer(n, scenario.alpha_layer, rng))
-            if kind is ScenarioKind.FULLY_RANDOM and m < scenario.depth - 1:
-                # nothing follows the last motif: its between-layer is never drawn
-                after = np.exp(1j * build_phase_layer(n, scenario.alpha_layer, rng))
-            yield (before if scenario.motif_internal_phases else None), after
+        for m in range(depth):
+            before = np.exp(1j * build_phase_layer(n, alpha, rng))
+            after = np.exp(1j * build_phase_layer(n, alpha, rng)) if m < between else None
+            yield (before if internal else None), after
 
     return u, layers()
 
@@ -209,11 +207,15 @@ def scenario_step_factors(scenario: Scenario, rng: RngStream):
 
 
 def advance(u: np.ndarray, layers, x: np.ndarray):
-    """Yield the (2N, k) column states x after each step diag(after) u diag(before),
-    scaling rows by the phase layers, O(N k), so only u is multiplied, O(N^2 k)."""
+    """Yield the row states x, (2N,) or (k, 2N), after each step diag(after) u
+    diag(before), as x -> (x * before) @ u.T, then * after: the phase layers
+    scale x elementwise, O(N k), so only u is multiplied, O(N^2 k)."""
+    ut = u.T
     for before, after in layers:
-        x = u @ (x if before is None else before[:, None] * x)
-        x = x if after is None else after[:, None] * x
+        # the same BLAS call as @, with less dispatch overhead per step
+        x = (x if before is None else x * before).dot(ut)
+        if after is not None:
+            x = x * after
         yield x
 
 
@@ -225,7 +227,8 @@ def compose(scenario: Scenario) -> np.ndarray:
 
     pure and fixed-disorder repeat one step, so its depth-th power is taken by
     squaring, O(N^3 log depth), raising NonUnitaryError if it overflows. The
-    kinds with fresh layers push the identity through ``advance``: O(N^3 depth).
+    kinds with fresh layers push the identity's rows through ``advance``,
+    O(N^3 depth), and return the transpose of the last row block.
     """
     u, layers = scenario_layers(scenario, RngStream(scenario.seed, 0))
     if not scenario.kind.fresh:
@@ -234,9 +237,9 @@ def compose(scenario: Scenario) -> np.ndarray:
         if not np.isfinite(w).all():
             raise NonUnitaryError(f"the step's power at depth {scenario.depth} overflowed")
         return w
-    for w in advance(u, layers, np.eye(scenario.n_modes, dtype=np.complex128)):
+    for x in advance(u, layers, np.eye(scenario.n_modes, dtype=np.complex128)):
         pass  # keep only the last block: collecting them would hold depth matrices
-    return w
+    return x.T
 
 
 def disordered_motif(scenario: Scenario) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 States live on the 2N modes of a ring. ``propagate`` reads the output
 distribution of one excitation off a composed transfer matrix; ensembles push
-the input column through ``network.advance``, as ``compose`` does the identity,
-and average the distributions over realizations at chosen snapshot depths.
+the input state, a 1-D row of 2N amplitudes, through ``network.advance``, as
+``compose`` does the identity's rows, and average the distributions over
+realizations at chosen snapshot depths.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import UNITARITY_TOL, NonUnitaryError, as_matrix, unitarity_defect
-from .network import RngStream, Scenario, advance, scenario_layers
+from .network import RngStream, Scenario, ScenarioKind, advance, scenario_layers
 from .network import scenario_step_factors  # noqa: F401  (patched by perfbench's tracer)
 
 SUM_TOL = 1e-12
@@ -160,13 +161,14 @@ class EnsembleResult:
 def run_ensemble(scenario: Scenario, input_index: int, depths, runs: int) -> EnsembleResult:
     """Average output distributions over ``runs`` disorder realizations.
 
-    Each realization pushes the unit vector on input_index through its steps
-    with ``advance``: O(N) per phase layer plus one O(N^2) motif product.
-    depths must be strictly increasing with the last entry equal to
-    scenario.depth, so every snapshot falls inside a single pass through the
-    steps. Realization r draws from stream r of scenario.seed and
-    realizations accumulate serially in ascending order, so a run repeats bit
-    for bit.
+    Each realization pushes the unit row state on input_index through its
+    steps with ``advance``: O(N) per phase layer plus one O(N^2) product with
+    the realization's motif, itself built in O(N). depths must be strictly
+    increasing with the last entry equal to scenario.depth, so every snapshot
+    falls inside a single pass through the steps. Realization r draws from
+    stream r of scenario.seed and realizations accumulate serially in
+    ascending order, so a run repeats bit for bit. ``pure`` has no disorder:
+    its one realization is propagated once, whatever ``runs`` says.
     """
     depths = tuple(int(d) for d in depths)
     if not depths or depths[0] < 1:
@@ -181,14 +183,15 @@ def run_ensemble(scenario: Scenario, input_index: int, depths, runs: int) -> Ens
     if not 0 <= input_index < n:
         raise ValueError(f"input_index {input_index} outside the mode range [0, {n})")
 
+    runs = 1 if scenario.kind is ScenarioKind.PURE else runs
     sums = {d: np.zeros(n, dtype=np.float64) for d in depths}
     ipr_sums = {d: 0.0 for d in depths}
+    start = np.eye(1, n, input_index, dtype=np.complex128)[0]
     for r in range(runs):
         u, layers = scenario_layers(scenario, RngStream(scenario.seed, r))
-        column = np.eye(n, 1, -input_index, dtype=np.complex128)
-        for step, x in enumerate(advance(u, layers, column), start=1):
+        for step, x in enumerate(advance(u, layers, start), start=1):
             if step in sums:
-                p = output_distribution(x[:, 0], input_index)
+                p = output_distribution(x, input_index)
                 sums[step] += p
                 ipr_sums[step] += float(p @ p)  # Distribution.ipr of p
 

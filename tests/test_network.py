@@ -91,6 +91,29 @@ def test_motif_matches_naive_construction(n_couplers, theta, phi):
     np.testing.assert_allclose(got, expected, atol=1e-14)
 
 
+def sublayer(n_modes, angle, first):
+    """One sublayer as a dense matrix: the 2x2 coupler [[c, s], [-s, c]] on the
+    mode pairs (k, k+1 mod 2N) for k = first, first+2, ...; with first = 1 the
+    last pair wraps mode 2N-1 back to mode 0."""
+    c, s = np.cos(angle), np.sin(angle)
+    layer = np.zeros((n_modes, n_modes), dtype=np.complex128)
+    for k in range(first, n_modes, 2):
+        lo, hi = k, (k + 1) % n_modes
+        layer[lo, lo], layer[lo, hi] = c, s
+        layer[hi, lo], layer[hi, hi] = -s, c
+    return layer
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=2, max_value=64), angle_st, angle_st)
+def test_motif_is_exactly_the_product_of_its_sublayers(n_couplers, theta, phi):
+    # each entry of A @ B has a single nonzero term, so the product is exact
+    n = 2 * n_couplers
+    want = sublayer(n, theta, 0) @ sublayer(n, phi, 1)
+    got = build_motif(MotifParams(n_couplers=n_couplers, theta=theta, phi=phi))
+    assert np.array_equal(got, want)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=2, max_value=12), angle_st, angle_st)
 def test_motif_is_unitary_and_sparse(n_couplers, theta, phi):

@@ -344,6 +344,27 @@ def test_ensemble_is_deterministic():
         assert sa.realization_ipr_mean == sb.realization_ipr_mean
 
 
+def test_pure_is_propagated_once_whatever_runs_says(monkeypatch):
+    sc = Scenario(kind="pure", motif=balanced(10), depth=8, seed=3)
+    once = run_ensemble(sc, 9, depths=(4, 8), runs=1)
+    real_layers = ringnet.simulate.scenario_layers
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real_layers(*args, **kwargs)
+
+    monkeypatch.setattr(ringnet.simulate, "scenario_layers", counted)
+    many = run_ensemble(sc, 9, depths=(4, 8), runs=50)
+    assert len(calls) == 1
+    for a, b in zip(once.samples, many.samples, strict=True):
+        np.testing.assert_allclose(
+            b.distribution.probabilities, a.distribution.probabilities, rtol=0, atol=1e-15
+        )
+        assert b.variance == pytest.approx(a.variance, rel=1e-15)
+        assert b.realization_ipr_mean == pytest.approx(a.realization_ipr_mean, abs=1e-15)
+
+
 def test_snapshot_depths_do_not_perturb_the_final_state():
     sc = ensemble_scenario(depth=9)
     coarse = run_ensemble(sc, 9, depths=(9,), runs=15)
@@ -392,13 +413,13 @@ def test_ensemble_peak_memory_does_not_grow_with_runs():
             tracemalloc.stop()
 
     # The first run fills one-time caches (about 0.9 MB), so a warm-up comes
-    # before the peaks. build_motif's eye, arange and row assignments leave
-    # nothing behind between runs, but CPython keeps up to 2000 freed tuples
-    # of each size for reuse, and any numpy call on the ensemble path that
-    # parks a few there per realization grows the peak until that cap is
-    # reached (about 110 KB, whatever the run count). The long warm-up fills
-    # those free lists; a full collection would empty them again, so the
-    # collector stays off until the peaks are taken.
+    # before the peaks. build_motif's zero matrix with its index arrays and
+    # the 1-D row states leave nothing behind between runs, but CPython keeps
+    # up to 2000 freed tuples of each size for reuse, and any numpy call on
+    # the ensemble path that parks a few there per realization grows the
+    # peak until that cap is reached (about 110 KB, whatever the run count).
+    # The long warm-up fills those free lists; a full collection would empty
+    # them again, so the collector stays off until the peaks are taken.
     gc.disable()
     try:
         run_ensemble(sc, 19, depths=(10,), runs=1024)
