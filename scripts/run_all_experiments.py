@@ -38,7 +38,7 @@ def run_one(name, command, config, out_root, quick, quiet):
         "--config", os.path.join(CONFIG_DIR, config),
         "--out", os.path.join(out_root, name),
     ]
-    if quick and name != "pure":
+    if quick:
         argv += ["--runs", str(QUICK_RUNS)]
     if quiet:
         argv.append("--quiet")

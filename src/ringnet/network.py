@@ -18,13 +18,22 @@ from .linalg import NonUnitaryError
 TWO_PI = 2.0 * np.pi
 
 
+class ScenarioError(ValueError):
+    """A scenario rule is broken: ``field`` names the field, None for a rule on several."""
+
+    def __init__(self, field: str | None, message: str):
+        super().__init__(message if field is None else f"{field}: {message}")
+        self.field = field
+        self.message = message
+
+
 @dataclass(frozen=True)
 class MotifParams:
     """Geometry and coupling angles of one ring motif.
 
     n_couplers is the number of couplers per sublayer; the ring carries twice
     that many modes. With a single coupler the A and B sublayers would rotate
-    the same mode pair, so two couplers is the minimum.
+    the same mode pair, so two couplers is the minimum. theta and phi are finite.
     """
 
     n_couplers: int
@@ -33,13 +42,11 @@ class MotifParams:
 
     def __post_init__(self):
         if self.n_couplers < 2:
-            raise ValueError(
-                f"n_couplers must be at least 2, got {self.n_couplers}"
-            )
+            raise ScenarioError("n_couplers", f"must be at least 2, got {self.n_couplers}")
         for name in ("theta", "phi"):
             val = getattr(self, name)
             if not np.isfinite(val):
-                raise ValueError(f"{name} must be finite, got {val!r}")
+                raise ScenarioError(name, f"must be finite, got {val!r}")
 
     @property
     def n_modes(self) -> int:
@@ -125,6 +132,9 @@ class Scenario:
     inside the motif and one between motifs; motif_internal_phases turns the
     internal layer off while keeping the stream consumption identical. Other
     kinds have no internal layer and must leave it True.
+
+    kind may be given by name; depth >= 1, seed >= 0, both strengths in [0, 2*pi].
+    A broken rule raises ScenarioError naming its field (None for an unused strength).
     """
 
     kind: ScenarioKind
@@ -136,26 +146,26 @@ class Scenario:
     motif_internal_phases: bool = True
 
     def __post_init__(self):
-        if not isinstance(self.kind, ScenarioKind):
+        try:
             object.__setattr__(self, "kind", ScenarioKind(self.kind))
+        except ValueError:
+            names = ", ".join(k.value for k in ScenarioKind)
+            message = f"unknown kind {self.kind!r}; choose from {names}"
+            raise ScenarioError("kind", message) from None
         if self.depth < 1:
-            raise ValueError(f"depth must be at least 1, got {self.depth}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        for name in ("alpha_fixed", "alpha_layer"):
+            raise ScenarioError("depth", f"must be at least 1, got {self.depth}")
+        for name, used in ("alpha_fixed", self.kind.frozen), ("alpha_layer", self.kind.fresh):
             val = getattr(self, name)
             if not 0.0 <= val <= TWO_PI:
-                raise ValueError(f"{name} must lie in [0, 2*pi], got {val!r}")
-        if not self.kind.frozen and self.alpha_fixed != 0.0:
-            raise ValueError(
-                f"alpha_fixed is not used by kind {self.kind.value!r} and must be 0"
-            )
-        if not self.kind.fresh and self.alpha_layer != 0.0:
-            raise ValueError(
-                f"alpha_layer is not used by kind {self.kind.value!r} and must be 0"
-            )
+                raise ScenarioError(name, f"must lie in [0, 2*pi], got {val!r}")
+            if not used and val != 0.0:
+                message = f"{name} is not used by kind {self.kind.value!r} and must be 0"
+                raise ScenarioError(None, message)
         if not (self.motif_internal_phases or self.kind is ScenarioKind.FULLY_RANDOM):
-            raise ValueError(f"kind {self.kind.value!r} cannot set motif_internal_phases=False")
+            message = f"false applies only to fully-random, not {self.kind.value!r}"
+            raise ScenarioError("motif_internal_phases", message)
+        if self.seed < 0:
+            raise ScenarioError("seed", f"must be nonnegative, got {self.seed}")
 
     @property
     def n_modes(self) -> int:

@@ -183,6 +183,14 @@ def test_seed_override_changes_outputs(tmp_path):
     assert cfg_b["scenario"]["seed"] == 8
 
 
+def test_seed_override_is_checked_by_the_scenario(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--seed", "-1"]) == 1
+    assert capsys.readouterr().err.startswith("config error: scenario.seed:")
+    assert not out.exists()
+
+
 def test_emit_spectral_from_simulate(tmp_path):
     cfg = write_config(tmp_path, emit=["spectral"], depths=[3])
     out = tmp_path / "out"

@@ -8,7 +8,10 @@ import pytest
 
 from ringnet.config import (
     DEFAULT_FIT_FLOOR,
+    DEFAULT_N_COUPLERS,
+    DEFAULT_PHI,
     DEFAULT_RUNS,
+    DEFAULT_THETA,
     DEFAULT_THRESHOLDS,
     MAX_N_COUPLERS,
     ConfigError,
@@ -16,7 +19,7 @@ from ringnet.config import (
     load_config,
     parse_config,
 )
-from ringnet.network import ScenarioKind
+from ringnet.network import MotifParams, Scenario, ScenarioError, ScenarioKind
 
 INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
@@ -176,6 +179,41 @@ def test_internal_phases_flag_can_be_turned_off_only_for_fully_random(kind):
     assert parse_config(minimal(kind=kind, motif_internal_phases=True))
     cfg = parse_config(minimal(kind="fully-random", motif_internal_phases=False))
     assert cfg.scenario.motif_internal_phases is False
+
+
+@pytest.mark.parametrize(
+    "scenario, field",
+    [
+        ({"kind": "pure", "n_couplers": 1}, "n_couplers"),
+        ({"kind": "pure", "seed": -1}, "seed"),
+        ({"kind": "fixed-disorder", "alpha_fixed": -0.1}, "alpha_fixed"),
+        ({"kind": "fixed-disorder", "alpha_fixed": 7.0}, "alpha_fixed"),
+        ({"kind": "fully-random", "alpha_layer": 7.0}, "alpha_layer"),
+        ({"kind": 5}, "kind"),
+        ({"kind": "sideways"}, "kind"),
+        ({"kind": "pure", "motif_internal_phases": False}, "motif_internal_phases"),
+        ({"kind": "fixed-disorder", "alpha_fixed": 7.0, "mystery": 1}, "alpha_fixed"),
+    ],
+    ids=[
+        "n_couplers", "seed", "alpha_fixed-low", "alpha_fixed-high", "alpha_layer",
+        "kind-number", "kind-name", "internal-flag", "range-before-unknown-key",
+    ],
+)
+def test_scenario_rules_keep_the_dataclass_message(scenario, field):
+    # the rule is checked once, by the dataclasses; config only adds the key path
+    with pytest.raises(ConfigError) as err:
+        parse_config({"scenario": scenario, "depths": [10]})
+    rest = {k: v for k, v in scenario.items() if k != "mystery"}
+    with pytest.raises(ScenarioError) as direct:
+        motif = MotifParams(
+            n_couplers=rest.pop("n_couplers", DEFAULT_N_COUPLERS),
+            theta=DEFAULT_THETA,
+            phi=DEFAULT_PHI,
+        )
+        Scenario(motif=motif, depth=10, seed=rest.pop("seed", 0), **rest)
+    assert direct.value.field == field
+    assert err.value.key == f"scenario.{field}"
+    assert err.value.message == direct.value.message
 
 
 def test_input_port_rejects_out_of_range():
