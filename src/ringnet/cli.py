@@ -14,15 +14,15 @@ directory.
 
 Exit codes: 0 success, 1 config problem or usage error, 2 numerical failure,
 3 I/O failure. Numerical failures include a ``LinAlgError`` from either
-LAPACK step of ``ringnet.linalg.eig_unitary``. Any other exception is a bug
-and ends with a traceback.
+numpy eigensolver in ``ringnet.linalg.eig_unitary`` (``eigh`` of the whole
+matrix, ``eig`` of a cluster's block). Any other exception is a bug and ends
+with a traceback.
 Numbers are written as Python's shortest round-trip float text, so each one
 parses back to the exact double that was computed. All result files are
 deterministic byte for byte given the same config and the same BLAS thread
 count. Only ``spectral.json`` depends on that count: its eigendecompositions
-(a Hermitian eigensolve, a quarter to a half of the time of a full Schur,
-plus a small Schur per cluster of close eigenphase cosines) can move in the
-last digits between thread counts.
+(a Hermitian eigensolve plus a small eigensolve and QR per cluster of close
+eigenphase cosines) can move in the last digits between thread counts.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .analysis import InsufficientSupportError, RegimeVerdict, classify
 from .analysis import eigenvector_localization
 from .config import ConfigError, RunConfig, effective_config, load_config, parse_config
 from .linalg import NonUnitaryError
-from .network import ScenarioKind, compose, disordered_motif
+from .network import compose, disordered_motif
 from .simulate import DepthSample, Distribution, run_ensemble
 
 
@@ -139,20 +139,13 @@ def cmd_simulate(cfg: RunConfig) -> dict[str, str]:
     return files
 
 
-def _scan_axis(kind: ScenarioKind) -> str:
-    if kind.fresh:
-        return "alpha_layer"
-    if kind.frozen:
-        return "alpha_fixed"
-    raise ConfigError(
-        "scenario.kind", f"kind {kind.value!r} has no disorder strength to scan"
-    )
-
-
 def cmd_scan_alpha(cfg: RunConfig) -> dict[str, str]:
     if cfg.alphas is None:
         raise ConfigError("alphas", "required key is missing for scan-alpha")
-    axis = _scan_axis(cfg.scenario.kind)
+    axis = cfg.scenario.kind.scan_axis
+    if axis is None:
+        kind = cfg.scenario.kind.value
+        raise ConfigError("scenario.kind", f"kind {kind!r} has no disorder strength to scan")
 
     files = {}
     summary = ["alpha,ipr,ssr_ratio,regime"]

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .analysis import DEFAULT_FIT_FLOOR, DEFAULT_THRESHOLDS
-from .network import TWO_PI, MotifParams, Scenario, ScenarioError
+from .network import MotifParams, Scenario, ScenarioError, check_strength
 
 QUARTER_PI = math.pi / 4.0
 
@@ -231,10 +231,11 @@ def parse_config(data, seed_override=None, runs_override=None) -> RunConfig:
         raw_alphas = data.pop("alphas")
         if not isinstance(raw_alphas, list) or not raw_alphas:
             raise ConfigError("alphas", "expected a nonempty array of strengths")
-        alphas = tuple(
-            _number(a, f"alphas[{i}]", low=0.0, high=TWO_PI)
-            for i, a in enumerate(raw_alphas)
-        )
+        keys = [f"alphas[{i}]" for i in range(len(raw_alphas))]
+        try:  # the strength rule is Scenario's, reported on the scan's own key
+            alphas = tuple(check_strength(k, _number(a, k)) for k, a in zip(keys, raw_alphas))
+        except ScenarioError as exc:
+            raise ConfigError(exc.field, exc.message) from exc
 
     output = data.pop("output", None)
     if output is not None and not isinstance(output, str):

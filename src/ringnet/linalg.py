@@ -5,11 +5,10 @@ precision throughout. Operations validate shape and finiteness
 at entry instead of wrapping arrays in dedicated types.
 
 ``eig_unitary`` diagonalizes a unitary through the Hermitian eigensolver of
-its Hermitian part, plus a small complex Schur for each cluster of equal or
+its Hermitian part, plus a small Schur basis for each cluster of equal or
 nearly equal eigenphase cosines; ``principal_log_unitary`` builds on it.
-Both raise ``numpy.linalg.LinAlgError`` when a LAPACK iteration fails to
-converge. scipy is imported by ``eig_unitary`` on its first call, so only
-spectral runs load it.
+Both use numpy's LAPACK alone and raise ``numpy.linalg.LinAlgError`` when a
+LAPACK iteration fails to converge.
 """
 
 from __future__ import annotations
@@ -59,25 +58,24 @@ def eig_unitary(a) -> tuple[np.ndarray, np.ndarray]:
 
     A unitary U is normal, so it shares its eigenvectors with the Hermitian
     H = (U + U^H)/2, whose eigenvalues are the cosines of U's eigenphases.
-    ``scipy.linalg.eigh`` (imported here on the first call) gives H's
-    ascending cosines and eigenvector columns V. Where a cosine stands
-    alone, its eigenvalue is the Rayleigh quotient v^H U v. Each run of
-    cosines whose gaps are below ``COSINE_GAP`` (a +/-omega pair, a repeat
-    or a near-repeat) spans an invariant subspace of U; a complex Schur of
-    that small block of V^H U V splits it, and its Schur vectors rotate the
-    run's columns of V. The cost is one Hermitian eigensolve, one matrix
-    product U V and a Schur per cluster: on one BLAS thread, a quarter to a
-    half of the time of a full complex Schur of U at 40 to 800 modes. The
-    reconstruction V diag(lambda) V^H matches the input to round-off.
+    ``numpy.linalg.eigh`` (LAPACK's divide-and-conquer zheevd, orthonormal to
+    ~1e-15 at 400 modes) gives H's ascending cosines and eigenvector columns V.
+    Where a cosine stands alone, its eigenvalue is the Rayleigh quotient
+    v^H U v. Each run of cosines whose gaps are below ``COSINE_GAP`` (a
+    +/-omega pair, a repeat or a near-repeat) spans an invariant subspace of
+    U. The QR of the eigenvectors of its small block B = V^H U V is a Schur
+    basis Q of B, which splits the run even where two phases share a sine
+    (pi/2 -/+ delta); Q rotates the run's columns of V, and the run's
+    eigenvalues are the Rayleigh quotients q^H B q. The reconstruction
+    V diag(lambda) V^H matches the input to round-off.
 
     Raises
     ------
     NonUnitaryError
         If the unitarity defect of ``a`` is not below ``UNITARITY_TOL``.
     numpy.linalg.LinAlgError
-        Raised by ``scipy.linalg.eigh`` if the Hermitian eigensolve fails to
-        converge, or by ``scipy.linalg.schur`` if a cluster's QR iteration
-        does.
+        Raised by ``numpy.linalg.eigh`` if the Hermitian eigensolve fails to
+        converge, or by ``numpy.linalg.eig`` if a cluster's QR iteration does.
     """
     a = as_matrix(a)
     defect = unitarity_defect(a)
@@ -85,12 +83,7 @@ def eig_unitary(a) -> tuple[np.ndarray, np.ndarray]:
         raise NonUnitaryError(
             f"unitarity defect {defect:.3e} is not below {UNITARITY_TOL:.0e}"
         )
-    # imported on first use: scipy.linalg is slow to load and only spectral runs need it
-    import scipy.linalg
-
-    # divide and conquer: its eigenvectors are orthonormal to ~1e-15 at 400 modes,
-    # where the default MRRR solver's were off by up to 9e-13 at the same speed
-    cosines, v = scipy.linalg.eigh((a + a.conj().T) / 2.0, driver="evd")
+    cosines, v = np.linalg.eigh((a + a.conj().T) / 2.0)
     av = a @ v
     eigenvalues = np.einsum("ij,ij->j", v.conj(), av)
     gaps = np.diff(cosines, prepend=-np.inf, append=np.inf)
@@ -98,9 +91,10 @@ def eig_unitary(a) -> tuple[np.ndarray, np.ndarray]:
     for start, stop in zip(bounds[:-1], bounds[1:]):
         if stop - start > 1:
             run = slice(start, stop)
-            t, z = scipy.linalg.schur(v[:, run].conj().T @ av[:, run], output="complex")
-            eigenvalues[run] = np.diag(t)
-            v[:, run] = v[:, run] @ z
+            block = v[:, run].conj().T @ av[:, run]
+            q = np.linalg.qr(np.linalg.eig(block)[1])[0]
+            eigenvalues[run] = np.einsum("ij,ij->j", q.conj(), block @ q)
+            v[:, run] = v[:, run] @ q
     return eigenvalues, v
 
 

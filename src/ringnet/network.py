@@ -27,6 +27,13 @@ class ScenarioError(ValueError):
         self.message = message
 
 
+def check_strength(field: str, value: float) -> float:
+    """Return a disorder strength held to [0, 2*pi]; else raise ScenarioError on ``field``."""
+    if not 0.0 <= value <= TWO_PI:
+        raise ScenarioError(field, f"must lie in [0, 2*pi], got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class MotifParams:
     """Geometry and coupling angles of one ring motif.
@@ -117,6 +124,11 @@ class ScenarioKind(str, enum.Enum):
         """Redraws alpha_layer layers every step."""
         return self in (ScenarioKind.FULLY_RANDOM, ScenarioKind.INTERMEDIATE)
 
+    @property
+    def scan_axis(self) -> str | None:
+        """The strength a scan over disorder strengths varies; None for pure."""
+        return "alpha_layer" if self.fresh else "alpha_fixed" if self.frozen else None
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -155,9 +167,7 @@ class Scenario:
         if self.depth < 1:
             raise ScenarioError("depth", f"must be at least 1, got {self.depth}")
         for name, used in ("alpha_fixed", self.kind.frozen), ("alpha_layer", self.kind.fresh):
-            val = getattr(self, name)
-            if not 0.0 <= val <= TWO_PI:
-                raise ScenarioError(name, f"must lie in [0, 2*pi], got {val!r}")
+            val = check_strength(name, getattr(self, name))
             if not used and val != 0.0:
                 message = f"{name} is not used by kind {self.kind.value!r} and must be 0"
                 raise ScenarioError(None, message)

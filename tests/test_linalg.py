@@ -112,9 +112,13 @@ def test_eig_unitary_round_trip(dim, seed):
 @st.composite
 def planted_phases(draw):
     """Eigenphases in (-pi, pi] with exact repeats, +/-omega pairs, pairs 1e-9
-    apart, 0 and pi. Apart from the 1e-9 pairs, distinct phases lie at least
-    0.1 apart, and none lies below -3."""
+    apart, 0 and pi, and pairs pi/2 -/+ 1e-6 or -pi/2 -/+ 1e-6. Each of the
+    last pairs shares one sine as well as one cosine cluster, so no Hermitian
+    part of the cluster's block can split it. Apart from the close pairs,
+    distinct phases lie at least 0.02 apart, and none lies below -3."""
     phases = [0.0] * draw(st.integers(0, 3)) + [np.pi] * draw(st.integers(0, 2))
+    for centre in draw(st.sets(st.sampled_from([np.pi / 2, -np.pi / 2]))):
+        phases += [centre - 1e-6, centre + 1e-6]
     for k in draw(st.sets(st.integers(1, 30), min_size=1, max_size=8)):
         omega = draw(st.sampled_from([0.1, -0.1])) * k
         shape = draw(st.sampled_from(["single", "repeat", "plus-minus", "near"]))
