@@ -710,18 +710,47 @@ def test_outputs_do_not_depend_on_thread_count(tmp_path, command, overrides):
 
 # ------------------------------------------------------ runtime dependencies
 
-NO_SCIPY_PROBE = """
-import json
+# numpy is the only runtime dependency: no run imports scipy, the spectral
+# ones included, and no module of ringnet names it
+SCIPY_PROBE = """
 import sys
-sys.modules["scipy"] = None  # any import of scipy or a submodule now raises ImportError
 import ringnet.cli
-print(json.dumps([ringnet.cli.main(argv) for argv in json.loads(sys.argv[1])]))
+assert "scipy" not in sys.modules, "import ringnet.cli loaded scipy"
+code = ringnet.cli.main(sys.argv[1:])
+print(code, "scipy" in sys.modules)
 """
 
 
-def test_ringnet_runs_without_scipy(tmp_path):
-    # numpy is the only runtime dependency: no module names scipy, and every
-    # subcommand, the spectral ones included, runs with scipy blocked
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("simulate", {"depths": [3], "runs": 5}),
+        ("scan-alpha", {
+            "scenario": {"kind": "fixed-disorder", "alpha_fixed": TWO_PI, "seed": 0},
+            "depths": [3],
+            "runs": 5,
+            "alphas": [0.0, TWO_PI],
+        }),
+        ("spectrum", {"depths": [3]}),
+        ("simulate", {"depths": [3], "runs": 5, "emit": ["spectral"]}),
+    ],
+    ids=["simulate", "scan-alpha", "spectrum", "simulate-spectral"],
+)
+def test_only_spectral_runs_import_scipy(tmp_path, command, overrides):
+    cfg = write_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, command, "--config", str(cfg), "--out", str(out), "--quiet"],
+        capture_output=True,
+        text=True,
+        env=checkout_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
+
+
+def test_scipy_is_imported_only_inside_eig_unitary():
+    found = []
     for path in sorted((SRC / "ringnet").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Import):
@@ -730,27 +759,6 @@ def test_ringnet_runs_without_scipy(tmp_path):
                 modules = [node.module or ""]
             else:
                 continue
-            assert all(m.split(".")[0] != "scipy" for m in modules), path.name
-    runs = {
-        "simulate": ("simulate", {"depths": [3], "runs": 5}),
-        "scan-alpha": ("scan-alpha", {
-            "scenario": {"kind": "fixed-disorder", "alpha_fixed": TWO_PI, "seed": 0},
-            "depths": [3],
-            "runs": 5,
-            "alphas": [0.0, TWO_PI],
-        }),
-        "spectrum": ("spectrum", {"depths": [3]}),
-        "simulate-spectral": ("simulate", {"depths": [3], "runs": 5, "emit": ["spectral"]}),
-    }
-    argvs = []
-    for name, (command, overrides) in runs.items():
-        cfg = write_config(tmp_path, f"{name}.json", **overrides)
-        argvs.append([command, "--config", str(cfg), "--out", str(tmp_path / name), "--quiet"])
-    proc = subprocess.run(
-        [sys.executable, "-c", NO_SCIPY_PROBE, json.dumps(argvs)],
-        capture_output=True,
-        text=True,
-        env=checkout_env(),
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [0] * len(runs), proc.stderr
+            if any(m.split(".")[0] == "scipy" for m in modules):
+                found.append(path.name)
+    assert found == []
