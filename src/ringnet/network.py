@@ -95,15 +95,16 @@ class RngStream:
         return self._gen.random(count)
 
 
-def build_phase_layer(n_modes: int, alpha: float, rng: RngStream) -> np.ndarray:
-    """Draw the phases of one layer, uniform on [0, alpha).
+def build_phase_layer(n_modes: int, alpha: float, rngs) -> np.ndarray:
+    """Draw one layer of phases per stream, uniform on [0, alpha).
 
-    Always consumes exactly n_modes draws from ``rng``, alpha = 0 included,
-    so stream positions stay aligned across disorder strengths. The inputs
-    are trusted: Scenario holds alpha to [0, 2*pi] and MotifParams holds
-    n_modes to at least 4.
+    Row r of the (len(rngs), n_modes) result comes from one uniform(n_modes)
+    call on rngs[r], alpha = 0 included, so stream positions stay aligned
+    across disorder strengths; one multiply then scales every row by alpha.
+    The inputs are trusted: Scenario holds alpha to [0, 2*pi] and MotifParams
+    holds n_modes to at least 4.
     """
-    return alpha * rng.uniform(n_modes)
+    return alpha * np.array([rng.uniform(n_modes) for rng in rngs])
 
 
 class ScenarioKind(str, enum.Enum):
@@ -182,17 +183,20 @@ class Scenario:
         return self.motif.n_modes
 
 
-def scenario_layers(scenario: Scenario, rng: RngStream):
-    """The repeated step u of one realization and an iterator of its phase layers.
+def scenario_layers(scenario: Scenario, rngs):
+    """The bare motif u, shared by a chunk of realizations, and an iterator of
+    each step's phase factors, one row per stream in ``rngs``.
 
-    u is the motif with any frozen layer folded in. The iterator yields each
-    step's diagonal (before, after) phase factors, either one None, so step m is
-    diag(after) u diag(before), as tabled below.
+    The iterator yields each step's (before, after) as (len(rngs), 2N) arrays
+    or None, so row r takes step m as x -> ((x * before[r]) @ u.T) * after[r],
+    that is diag(after) u diag(before) on a column. A frozen layer is folded
+    into every step's before, as tabled below.
 
     Stream consumption contract, which downstream code and the tests rely on:
-    a frozen layer is drawn first, by this call, then per-step layers in step
-    order as the iterator runs, a step's internal layer before its inter-motif
-    one. Every layer draw consumes n_modes uniforms whatever its strength.
+    each stream's frozen layer is drawn first, by this call, then its per-step
+    layers in step order as the iterator runs, a step's internal layer before
+    its inter-motif one. Every layer draw consumes n_modes uniforms from each
+    stream whatever its strength, so row r equals this call on rngs[r] alone.
 
     pure:            U, U, ..., U
     fixed-disorder:  U D with one D = diag phases drawn once
@@ -200,36 +204,51 @@ def scenario_layers(scenario: Scenario, rng: RngStream):
     intermediate:    U D D''_m with the fixed D drawn once, D''_m per step
     """
     n, kind, depth = scenario.n_modes, scenario.kind, scenario.depth
-    u = build_motif(scenario.motif)
-    if kind.frozen:
-        u = u * np.exp(1j * build_phase_layer(n, scenario.alpha_fixed, rng))
+    # one build per stream only for the motif-count pin of perfbench's
+    # test_scan_counts_one_ensemble_per_strength (ROADMAP item 1)
+    for _ in rngs:
+        u = build_motif(scenario.motif)
+
+    def draw(strength):
+        # exp(1j * phases) bit for bit, without the complex exponential
+        phases = build_phase_layer(n, strength, rngs)
+        z = np.empty(phases.shape, dtype=np.complex128)
+        np.cos(phases, out=z.real)
+        np.sin(phases, out=z.imag)
+        return z
+
+    frozen = draw(scenario.alpha_fixed) if kind.frozen else None
     if not kind.fresh:
-        return u, ((None, None) for _ in range(depth))
+        return u, ((frozen, None) for _ in range(depth))
     alpha, internal = scenario.alpha_layer, scenario.motif_internal_phases
     # nothing follows the last motif: its between-layer is never drawn
     between = depth - 1 if kind is ScenarioKind.FULLY_RANDOM else 0
 
     def layers():
         for m in range(depth):
-            before = np.exp(1j * build_phase_layer(n, alpha, rng))
-            after = np.exp(1j * build_phase_layer(n, alpha, rng)) if m < between else None
-            yield (before if internal else None), after
+            before = draw(alpha)
+            if not internal:
+                before = None  # switched off, but drawn all the same
+            elif frozen is not None:
+                before = frozen * before
+            yield before, (draw(alpha) if m < between else None)
 
     return u, layers()
 
 
 def scenario_step_factors(scenario: Scenario, rng: RngStream):
     """Yield each step's dense factor diag(after) u diag(before), left factor last."""
-    u, layers = scenario_layers(scenario, rng)
+    u, layers = scenario_layers(scenario, [rng])
     for before, after in layers:
         step = u if before is None else u * before
-        yield step if after is None else after[:, None] * step
+        yield step if after is None else after.T * step
 
 
 def advance(u: np.ndarray, layers, x: np.ndarray):
-    """Yield the row states x, (2N,) or (k, 2N), after each step diag(after) u
-    diag(before), as x -> (x * before) @ u.T, then * after: the phase layers
-    scale x elementwise, O(N k), so only u is multiplied, O(N^2 k)."""
+    """Yield the row states x, (k, 2N), after each step diag(after) u diag(before),
+    as x -> (x * before) @ u.T, then * after, with before and after (k, 2N) or
+    (1, 2N): the phase layers scale x elementwise, O(N k), and only u is
+    multiplied, one (k, 2N) by (2N, 2N) product, O(N^2 k), per step."""
     ut = u.T
     for before, after in layers:
         # the same BLAS call as @, with less dispatch overhead per step
@@ -250,10 +269,12 @@ def compose(scenario: Scenario) -> np.ndarray:
     kinds with fresh layers push the identity's rows through ``advance``,
     O(N^3 depth), and return the transpose of the last row block.
     """
-    u, layers = scenario_layers(scenario, RngStream(scenario.seed, 0))
+    u, layers = scenario_layers(scenario, [RngStream(scenario.seed, 0)])
     if not scenario.kind.fresh:
+        before, _ = next(layers)
+        step = u if before is None else u * before
         with np.errstate(over="ignore", invalid="ignore"):
-            w = np.linalg.matrix_power(u, scenario.depth)
+            w = np.linalg.matrix_power(step, scenario.depth)
         if not np.isfinite(w).all():
             raise NonUnitaryError(f"the step's power at depth {scenario.depth} overflowed")
         return w

@@ -169,14 +169,14 @@ def test_rng_stream_rejects_negative_seed():
 
 
 def test_phase_layer_zero_alpha_is_identity():
-    phases = build_phase_layer(6, 0.0, RngStream(0, 0))
+    phases = build_phase_layer(6, 0.0, [RngStream(0, 0)])[0]
     np.testing.assert_array_equal(phases, np.zeros(6))
     np.testing.assert_array_equal(np.exp(1j * phases), np.ones(6))
 
 
 def test_phase_layer_zero_alpha_still_consumes_draws():
     rng = RngStream(5, 0)
-    build_phase_layer(6, 0.0, rng)
+    build_phase_layer(6, 0.0, [rng])
     after = rng.uniform(1)[0]
     assert after == RngStream(5, 0).uniform(7)[-1]
 
@@ -185,7 +185,7 @@ def test_phase_draws_fill_the_requested_range():
     # mean of Uniform[0, alpha) is alpha/2 with sd alpha/sqrt(12 n)
     alpha = np.pi
     n = 100_000
-    phases = build_phase_layer(n, alpha, RngStream(123, 0))
+    phases = build_phase_layer(n, alpha, [RngStream(123, 0)])[0]
     assert phases.min() >= 0.0
     assert phases.max() < alpha
     assert abs(phases.mean() - alpha / 2) < 3 * alpha / math.sqrt(12 * n)
@@ -430,21 +430,26 @@ LAYER_DRAWS = {
     "fully-random": ["before0", "after0", "before1", "after1", "before2"],
     "intermediate": ["frozen", "before0", "before1", "before2"],
 }
-
-
-@pytest.mark.parametrize(
+LAYER_CASES = pytest.mark.parametrize(
     ("kind", "internal"),
     [(kind, True) for kind in LAYER_DRAWS] + [("fully-random", False)],
 )
-def test_scenario_layers_draw_order(kind, internal):
+
+
+def layered_scenario(kind, internal):
     alphas = {
         "fixed-disorder": {"alpha_fixed": 1.0},
         "fully-random": {"alpha_layer": 2.5},
         "intermediate": {"alpha_fixed": 1.0, "alpha_layer": 0.5},
     }.get(kind, {})
-    sc = dataclasses.replace(
+    return dataclasses.replace(
         _scenario(kind, 3, 3, 14, **alphas), motif_internal_phases=internal
     )
+
+
+@LAYER_CASES
+def test_scenario_layers_draw_order(kind, internal):
+    sc = layered_scenario(kind, internal)
     n = sc.n_modes
     ref = RngStream(sc.seed, 0)
     strength = {"frozen": sc.alpha_fixed}
@@ -454,22 +459,41 @@ def test_scenario_layers_draw_order(kind, internal):
     }
 
     rng = RngStream(sc.seed, 0)
-    u, layers = scenario_layers(sc, rng)
-    want_u = build_motif(sc.motif)
-    if "frozen" in drawn:
-        want_u = want_u * drawn["frozen"]
-    np.testing.assert_array_equal(u, want_u)
+    u, layers = scenario_layers(sc, [rng])
+    # the motif stays bare: a frozen layer rides in every step's before
+    np.testing.assert_array_equal(u, build_motif(sc.motif))
     got = list(layers)
     assert len(got) == sc.depth
+    frozen = drawn.get("frozen")
     for m, (before, after) in enumerate(got):
         want_before = drawn.get(f"before{m}") if internal else None
+        if frozen is not None:
+            want_before = frozen if want_before is None else frozen * want_before
         for layer, want in ((before, want_before), (after, drawn.get(f"after{m}"))):
             if want is None:
                 assert layer is None
             else:
-                np.testing.assert_array_equal(layer, want)
+                assert layer.shape == (1, n)
+                np.testing.assert_array_equal(layer[0], want)
     # a realization leaves the stream where the documented draws end
     assert rng.uniform(1) == ref.uniform(1)
+
+
+@LAYER_CASES
+def test_scenario_layers_row_r_is_stream_r_alone(kind, internal):
+    sc = layered_scenario(kind, internal)
+    u, layers = scenario_layers(sc, [RngStream(sc.seed, r) for r in range(3)])
+    got = list(layers)
+    for r in range(3):
+        u_r, layers_r = scenario_layers(sc, [RngStream(sc.seed, r)])
+        np.testing.assert_array_equal(u, u_r)
+        for (before, after), (before_r, after_r) in zip(got, layers_r, strict=True):
+            for layer, want in ((before, before_r), (after, after_r)):
+                if want is None:
+                    assert layer is None
+                else:
+                    assert layer.shape == (3, sc.n_modes)
+                    np.testing.assert_array_equal(layer[r], want[0])
 
 
 # ------------------------------------------------- clean-ring Bloch spectrum

@@ -191,7 +191,7 @@ def test_trailing_phase_layer_leaves_probabilities_alone():
         kind="fixed-disorder", motif=balanced(6), depth=5, seed=3, alpha_fixed=4.0
     )
     w = compose(sc)
-    layer = np.diag(np.exp(1j * build_phase_layer(12, TWO_PI, RngStream(99, 0))))
+    layer = np.diag(np.exp(1j * build_phase_layer(12, TWO_PI, [RngStream(99, 0)])[0]))
     before = propagate(w, 7).probabilities
     after = propagate(layer @ w, 7).probabilities
     assert np.abs(after - before).max() < 1e-14
@@ -313,6 +313,80 @@ def assert_matches_dense_realizations(res, dense):
         assert sample.realization_ipr_mean == pytest.approx(ipr_mean, abs=1e-14)
 
 
+def chunk_scenario(kind, n_couplers, depth, seed, theta, phi, alpha, internal):
+    alphas = {}
+    if kind in ("fixed-disorder", "intermediate"):
+        alphas["alpha_fixed"] = alpha
+    if kind in ("fully-random", "intermediate"):
+        alphas["alpha_layer"] = TWO_PI - alpha
+    return Scenario(
+        kind=kind,
+        motif=MotifParams(n_couplers=n_couplers, theta=theta, phi=phi),
+        depth=depth,
+        seed=seed,
+        motif_internal_phases=internal or kind != "fully-random",
+        **alphas,
+    )
+
+
+def run_in_chunks(chunk, sc, port, runs):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ringnet.simulate, "CHUNK", chunk)
+        return run_ensemble(sc, port, depths=range(1, sc.depth + 1), runs=runs)
+
+
+# a realization's last bits depend on its row in the chunk's product with u,
+# so splits are held to round-off, not to bytes
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(KINDS),
+    st.integers(min_value=2, max_value=6),
+    st.integers(min_value=1, max_value=14),
+    st.integers(min_value=0, max_value=10**6),
+    st.floats(min_value=-np.pi, max_value=np.pi),
+    st.floats(min_value=-np.pi, max_value=np.pi),
+    st.floats(min_value=0.0, max_value=TWO_PI),
+    st.integers(min_value=1, max_value=9),
+    st.booleans(),
+    st.booleans(),
+)
+def test_chunk_split_leaves_the_ensemble_alone(
+    kind, n_couplers, depth, seed, theta, phi, alpha, runs, last_port, internal
+):
+    # depths up to 14 run the cone past the wrap (4M > 2N) on small rings
+    sc = chunk_scenario(kind, n_couplers, depth, seed, theta, phi, alpha, internal)
+    port = 2 * n_couplers - 1 if last_port else 0
+    whole = run_in_chunks(ringnet.simulate.CHUNK, sc, port, runs)
+    for chunk in (1, 3):
+        split = run_in_chunks(chunk, sc, port, runs)
+        for a, b in zip(whole.samples, split.samples, strict=True):
+            np.testing.assert_allclose(
+                b.distribution.probabilities, a.distribution.probabilities,
+                rtol=0, atol=1e-14,
+            )
+            assert b.realization_ipr_mean == pytest.approx(a.realization_ipr_mean, abs=1e-14)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=10, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=5),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=10**6),
+    st.floats(min_value=-np.pi, max_value=np.pi),
+    st.floats(min_value=-np.pi, max_value=np.pi),
+    st.floats(min_value=0.0, max_value=TWO_PI),
+    st.integers(min_value=5, max_value=7),
+    st.booleans(),
+)
+def test_ensemble_accumulated_across_chunks_is_the_dense_mean(
+    kind, n_couplers, depth, seed, theta, phi, alpha, runs, internal
+):
+    sc = chunk_scenario(kind, n_couplers, depth, seed, theta, phi, alpha, internal)
+    res = run_in_chunks(2, sc, 0, runs)
+    assert_matches_dense_realizations(res, dense_realization_means(sc, 0, runs))
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_ensemble_builds_no_dense_step_factor(kind, monkeypatch):
     alphas = {
@@ -412,18 +486,22 @@ def test_ensemble_peak_memory_does_not_grow_with_runs():
         finally:
             tracemalloc.stop()
 
+    # A chunk holds min(runs, CHUNK) realizations as the rows of one state,
+    # so memory grows with runs up to one chunk and is flat beyond it: the
+    # peak at four chunks must stay near the peak at one.
     # The first run fills one-time caches (about 0.9 MB), so a warm-up comes
     # before the peaks. build_motif's zero matrix with its index arrays and
-    # the 1-D row states leave nothing behind between runs, but CPython keeps
-    # up to 2000 freed tuples of each size for reuse, and any numpy call on
-    # the ensemble path that parks a few there per realization grows the
+    # a chunk's row states leave nothing behind between chunks, but CPython
+    # keeps up to 2000 freed tuples of each size for reuse, and any numpy call
+    # on the ensemble path that parks a few there per realization grows the
     # peak until that cap is reached (about 110 KB, whatever the run count).
     # The long warm-up fills those free lists; a full collection would empty
     # them again, so the collector stays off until the peaks are taken.
+    chunk = ringnet.simulate.CHUNK
     gc.disable()
     try:
         run_ensemble(sc, 19, depths=(10,), runs=1024)
-        small, large = peak(2), peak(256)
+        small, large = peak(chunk), peak(4 * chunk)
     finally:
         gc.enable()
     assert large <= 1.25 * small, (small, large)
