@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -181,7 +182,10 @@ def cmd_spectrum(cfg: RunConfig) -> dict[str, str]:
     return {"spectral.json": render_json(payload)}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on its first call and then reused: each
+    parse_args returns a fresh namespace and keeps nothing between calls."""
     parser = argparse.ArgumentParser(
         prog="ringnet",
         description="Single-excitation transport on disordered coupler rings.",

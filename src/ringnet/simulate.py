@@ -2,14 +2,15 @@
 
 States live on the 2N modes of a ring. ``propagate`` reads the output
 distribution of one excitation off a composed transfer matrix. Ensembles take
-their realizations CHUNK at a time as the rows of one (k, 2N) state, each row
-starting as the input state, push the rows through ``network.advance``, as
-``compose`` does the identity's rows, and average the distributions over
-realizations at chosen snapshot depths.
+their realizations CHUNK at a time as the columns of one (2N, k) state, each
+column starting as the input state, push the columns through
+``network.advance``, as ``compose`` does the identity's columns, and average
+the distributions over realizations at chosen snapshot depths.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ from .network import RngStream, Scenario, ScenarioKind, advance, scenario_layers
 from .network import scenario_step_factors  # noqa: F401  (patched by perfbench's tracer)
 
 SUM_TOL = 1e-12
-# realizations advanced together, as the rows of one (k, 2N) state
+# realizations advanced together, as the columns of one (2N, k) state
 CHUNK = 256
 NEGATIVE_CLAMP = 1e-15
 
@@ -75,15 +76,19 @@ def output_distribution(amplitudes: np.ndarray, input_index: int) -> np.ndarray:
     a long product cannot push the sum past the distribution tolerance.
     That norm check is the only one: the plain vector is returned, and a
     Distribution validates it only where the library hands one out.
+    The amplitudes may be a strided view, such as one column of an ensemble
+    state; the probabilities are a fresh contiguous vector either way.
     """
-    p = amplitudes.real**2 + amplitudes.imag**2
-    total = float(p.sum())
+    p = amplitudes.real**2
+    p += amplitudes.imag**2
+    total = float(np.add.reduce(p))
     if not abs(total - 1.0) < UNITARITY_TOL:
         raise NonUnitaryError(
             f"amplitudes propagated from mode {input_index} have squared norm "
             f"{total!r}, not 1 within {UNITARITY_TOL:.0e}"
         )
-    return p / total
+    p /= total
+    return p
 
 
 def propagate(w, input_index: int) -> Distribution:
@@ -164,20 +169,27 @@ class EnsembleResult:
 def run_ensemble(scenario: Scenario, input_index: int, depths, runs: int) -> EnsembleResult:
     """Average output distributions over ``runs`` disorder realizations.
 
-    Realizations go in ascending chunks of CHUNK, each chunk one (k, 2N) state
-    whose row r is realization r's unit row state on input_index. ``advance``
-    scales the rows by their phase layers, O(N k) each, and multiplies them
-    by the chunk's shared motif, one O(N^2 k) product per step, so an
-    ensemble costs O(runs * depth * N^2). depths must be strictly increasing
-    with the last entry equal to scenario.depth, so every snapshot falls
-    inside a single pass through the steps; each row's distribution is
-    checked for its norm there. Realization r draws from stream r of
-    scenario.seed and chunks accumulate in ascending order, so a run repeats
-    bit for bit; a realization's last bits depend on its row in the chunk.
+    Realizations go in ascending chunks of CHUNK, each chunk one (2N, k) state
+    whose column r is realization r's unit state on input_index. ``advance``
+    scales the columns by their phase layers, O(N k) each, and multiplies them
+    by the chunk's shared real motif, one O(N^2 k) real product per step, so
+    an ensemble costs O(runs * depth * N^2). depths must be strictly
+    increasing integers with the last entry equal to scenario.depth, so every
+    snapshot falls inside a single pass through the steps; each column's
+    distribution is checked for its norm there. Realization r draws from
+    stream r of scenario.seed and chunks accumulate in ascending order, so a
+    run repeats bit for bit; a realization's last bits depend on its column
+    in the chunk.
     ``pure`` has no disorder: its one realization is propagated once,
     whatever ``runs`` says.
     """
-    depths = tuple(int(d) for d in depths)
+    checked = []
+    for d in depths:
+        try:
+            checked.append(operator.index(d))
+        except TypeError:
+            raise ValueError(f"depths must be integers, got the entry {d!r}") from None
+    depths = tuple(checked)
     if not depths or depths[0] < 1:
         raise ValueError(f"depths must be nonempty and positive, got {depths}")
     if any(b <= a for a, b in zip(depths, depths[1:])):
@@ -196,11 +208,12 @@ def run_ensemble(scenario: Scenario, input_index: int, depths, runs: int) -> Ens
     for lo in range(0, runs, CHUNK):
         rngs = [RngStream(scenario.seed, r) for r in range(lo, min(lo + CHUNK, runs))]
         u, layers = scenario_layers(scenario, rngs)
-        start = np.zeros((len(rngs), n), dtype=np.complex128)
-        start[:, input_index] = 1.0
+        start = np.zeros((n, len(rngs)), dtype=np.complex128)
+        start[input_index] = 1.0
         for step, x in enumerate(advance(u, layers, start), start=1):
             if step in sums:
-                p = np.array([output_distribution(row, input_index) for row in x])
+                # row r of p is column r's distribution
+                p = np.array([output_distribution(col, input_index) for col in x.T])
                 sums[step] += p.sum(axis=0)
                 ipr_sums[step] += float((p * p).sum())  # the rows' Distribution.ipr, summed
 

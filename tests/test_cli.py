@@ -610,6 +610,38 @@ def checkout_env(**overrides):
     return dict(os.environ, PYTHONPATH=path, **overrides)
 
 
+def test_main_carries_nothing_between_calls(tmp_path):
+    # main reuses one parser per process: an override given to one call must
+    # not reach the next, so each call writes what it writes in a fresh process
+    cfg = write_config(
+        tmp_path,
+        scenario={"kind": "fixed-disorder", "alpha_fixed": TWO_PI, "seed": 7},
+        depths=[4],
+        runs=5,
+        alphas=[1.0, TWO_PI],
+        emit=["distributions", "fits"],
+    )
+    calls = [
+        ("scan", ["scan-alpha", "--seed", "3", "--runs", "2"]),
+        ("simulate", ["simulate"]),
+    ]
+    for name, args in calls:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ringnet", *args, "--config", str(cfg),
+             "--out", str(tmp_path / f"{name}-alone"), "--quiet"],
+            capture_output=True,
+            text=True,
+            env=checkout_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+    for name, args in calls:
+        out = tmp_path / f"{name}-together"
+        assert main([*args, "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    for name, _ in calls:
+        together = read_all(tmp_path / f"{name}-together")
+        assert together == read_all(tmp_path / f"{name}-alone"), name
+
+
 def test_subprocess_entry_point(tmp_path):
     cfg = write_config(tmp_path, depths=[3], runs=5)
     out = tmp_path / "out"
@@ -673,6 +705,16 @@ def run_with_threads(tmp_path, command, cfg, threads):
             "runs": 10,
             "emit": ["distributions", "fits", "variance_trace", "spectral"],
         }),
+        # more runs than one chunk, at a size where a multithreaded BLAS
+        # splits each step's product between threads
+        ("simulate", {
+            "scenario": {
+                "kind": "fully-random", "n_couplers": 100, "alpha_layer": TWO_PI, "seed": 0,
+            },
+            "depths": [10, 25, 50],
+            "runs": 300,
+            "emit": ["distributions", "fits", "variance_trace"],
+        }),
         ("scan-alpha", {
             "scenario": {
                 "kind": "fixed-disorder", "n_couplers": 80, "alpha_fixed": TWO_PI, "seed": 0,
@@ -683,7 +725,7 @@ def run_with_threads(tmp_path, command, cfg, threads):
             "emit": ["distributions", "fits"],
         }),
     ],
-    ids=["simulate", "scan-alpha"],
+    ids=["simulate", "simulate-chunks", "scan-alpha"],
 )
 def test_outputs_do_not_depend_on_thread_count(tmp_path, command, overrides):
     cfg = write_config(tmp_path, **overrides)

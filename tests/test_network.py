@@ -114,6 +114,19 @@ def test_motif_is_exactly_the_product_of_its_sublayers(n_couplers, theta, phi):
     assert np.array_equal(got, want)
 
 
+# advance multiplies states by the motif's real part alone, so the motif must
+# be real exactly, not to round-off, at any finite angles
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=50),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+def test_motif_imaginary_part_is_exactly_zero(n_couplers, theta, phi):
+    u = build_motif(MotifParams(n_couplers=n_couplers, theta=theta, phi=phi))
+    assert not u.imag.any()
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=2, max_value=12), angle_st, angle_st)
 def test_motif_is_unitary_and_sparse(n_couplers, theta, phi):

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import re
 import tracemalloc
 
 import numpy as np
@@ -505,6 +506,27 @@ def test_ensemble_peak_memory_does_not_grow_with_runs():
     finally:
         gc.enable()
     assert large <= 1.25 * small, (small, large)
+
+
+@pytest.mark.parametrize("depths", [(2.5, 8), (4, 8.0), (4, np.float64(8)), ("4", 8)])
+def test_ensemble_refuses_non_integral_depths(depths):
+    # a float depth was once truncated silently, (2.5, 8) running as (2, 8)
+    sc = ensemble_scenario(depth=8)
+    bad = next(d for d in depths if not isinstance(d, int))
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        run_ensemble(sc, 9, depths=depths, runs=2)
+
+
+def test_ensemble_takes_numpy_integer_depths():
+    sc = ensemble_scenario(depth=8)
+    plain = run_ensemble(sc, 9, depths=(4, 8), runs=3)
+    numpy = run_ensemble(sc, 9, depths=np.array([4, 8]), runs=3)
+    assert [s.depth for s in numpy.samples] == [4, 8]
+    assert all(type(s.depth) is int for s in numpy.samples)
+    for a, b in zip(plain.samples, numpy.samples, strict=True):
+        np.testing.assert_array_equal(
+            a.distribution.probabilities, b.distribution.probabilities
+        )
 
 
 def test_scenario_seed_selects_the_realizations():
