@@ -18,6 +18,7 @@ import numpy as np
 
 from .linalg import BranchCutWarning, as_matrix, branch_cut_count, eig_unitary
 from .linalg import principal_log_unitary
+from .network import check_integer
 from .simulate import Distribution, circular_displacements
 
 LOG10_E = float(np.log10(np.e))
@@ -138,9 +139,7 @@ def classify(
 
 def effective_hamiltonian(w, depth: int) -> np.ndarray:
     """Hermitian generator per step: the principal log of ``w`` over depth."""
-    if depth < 1:
-        raise ValueError(f"depth must be at least 1, got {depth}")
-    return principal_log_unitary(w) / float(depth)
+    return principal_log_unitary(w) / float(check_integer("depth", depth, 1))
 
 
 def band_mass_profile(h) -> np.ndarray:

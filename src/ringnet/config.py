@@ -189,13 +189,9 @@ def parse_config(data, seed_override=None, runs_override=None) -> RunConfig:
         raise ConfigError(f"scenario.{next(iter(raw))}", "unknown key")
 
     input_port = _number(
-        data.pop("input_port", n_couplers), "input_port", integer=True, low=1
+        data.pop("input_port", n_couplers), "input_port",
+        integer=True, low=1, high=scenario.n_modes,
     )
-    if input_port > scenario.n_modes:
-        raise ConfigError(
-            "input_port",
-            f"must be at most {scenario.n_modes} for this ring, got {input_port}",
-        )
 
     runs = data.pop("runs", DEFAULT_RUNS)
     if runs_override is not None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,18 @@ def check_strength(field: str, value: float) -> float:
     return value
 
 
+def check_integer(field: str, value, low: int, high: int | None = None) -> int:
+    """Return a count or index held to [low, high) as a plain int; else raise
+    ScenarioError on ``field``. Any integer but a bool passes, numpy's included."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ScenarioError(field, f"expected an integer, got {value!r}")
+    value = int(value)
+    if value < low or (high is not None and value >= high):
+        bound = f"be at least {low}" if high is None else f"lie in [{low}, {high})"
+        raise ScenarioError(field, f"must {bound}, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class MotifParams:
     """Geometry and coupling angles of one ring motif.
@@ -49,8 +62,7 @@ class MotifParams:
     phi: float
 
     def __post_init__(self):
-        if self.n_couplers < 2:
-            raise ScenarioError("n_couplers", f"must be at least 2, got {self.n_couplers}")
+        object.__setattr__(self, "n_couplers", check_integer("n_couplers", self.n_couplers, 2))
         for name in ("theta", "phi"):
             val = getattr(self, name)
             if not np.isfinite(val):
@@ -156,7 +168,8 @@ class Scenario:
     internal layer off while keeping the stream consumption identical. Other
     kinds have no internal layer and must leave it True.
 
-    kind may be given by name; depth >= 1, seed >= 0, both strengths in [0, 2*pi].
+    kind may be given by name; depth >= 1 and seed >= 0 are integers, stored
+    as int; both strengths lie in [0, 2*pi].
     A broken rule raises ScenarioError naming its field (None for an unused strength).
     """
 
@@ -175,8 +188,7 @@ class Scenario:
             names = ", ".join(k.value for k in ScenarioKind)
             message = f"unknown kind {self.kind!r}; choose from {names}"
             raise ScenarioError("kind", message) from None
-        if self.depth < 1:
-            raise ScenarioError("depth", f"must be at least 1, got {self.depth}")
+        object.__setattr__(self, "depth", check_integer("depth", self.depth, 1))
         for name, used in ("alpha_fixed", self.kind.frozen), ("alpha_layer", self.kind.fresh):
             val = check_strength(name, getattr(self, name))
             if not used and val != 0.0:
@@ -185,8 +197,7 @@ class Scenario:
         if not (self.motif_internal_phases or self.kind is ScenarioKind.FULLY_RANDOM):
             message = f"false applies only to fully-random, not {self.kind.value!r}"
             raise ScenarioError("motif_internal_phases", message)
-        if self.seed < 0:
-            raise ScenarioError("seed", f"must be nonnegative, got {self.seed}")
+        object.__setattr__(self, "seed", check_integer("seed", self.seed, 0))
 
     @property
     def n_modes(self) -> int:

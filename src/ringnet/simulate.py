@@ -10,13 +10,13 @@ the distributions over realizations at chosen snapshot depths.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import UNITARITY_TOL, NonUnitaryError, as_matrix, unitarity_defect
-from .network import RngStream, Scenario, ScenarioKind, advance, scenario_layers
+from .network import RngStream, Scenario, ScenarioKind, advance, check_integer
+from .network import scenario_layers
 from .network import scenario_step_factors  # noqa: F401  (patched by perfbench's tracer)
 
 SUM_TOL = 1e-12
@@ -29,11 +29,11 @@ NEGATIVE_CLAMP = 1e-15
 class Distribution:
     """Probability distribution over the ring modes, anchored at its input.
 
-    input_index is the zero-based mode the excitation started on; the spread
-    statistics and profile fits all measure displacement from it. Entries are
-    validated on construction: negatives beyond round-off are an error,
-    round-off negatives are clamped to zero, and the total must be one to
-    within SUM_TOL.
+    input_index is the zero-based mode the excitation started on, an integer
+    in [0, n_modes) stored as int; the spread statistics and profile fits all
+    measure displacement from it. Entries are validated on construction:
+    negatives beyond round-off are an error, round-off negatives are clamped
+    to zero, and the total must be one to within SUM_TOL.
     """
 
     probabilities: np.ndarray
@@ -51,12 +51,9 @@ class Distribution:
         total = float(p.sum())
         if abs(total - 1.0) > SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
-        if not 0 <= self.input_index < p.shape[0]:
-            raise ValueError(
-                f"input_index {self.input_index} outside the mode range "
-                f"[0, {p.shape[0]})"
-            )
+        index = check_integer("input_index", self.input_index, 0, len(p))
         object.__setattr__(self, "probabilities", p)
+        object.__setattr__(self, "input_index", index)
 
     @property
     def n_modes(self) -> int:
@@ -102,10 +99,7 @@ def propagate(w, input_index: int) -> Distribution:
         raise NonUnitaryError(
             f"unitarity defect {defect:.3e} is not below {UNITARITY_TOL:.0e}"
         )
-    if not 0 <= input_index < w.shape[0]:
-        raise ValueError(
-            f"input_index {input_index} outside the mode range [0, {w.shape[0]})"
-        )
+    input_index = check_integer("input_index", input_index, 0, w.shape[0])
     return Distribution(output_distribution(w[:, input_index], input_index), input_index)
 
 
@@ -115,10 +109,8 @@ def circular_displacements(n_modes: int, input_index: int) -> np.ndarray:
     Distances wrap around the ring and lie in [-n/2, n/2); the antipodal mode
     sits at -n/2 by that half-open convention.
     """
-    if not 0 <= input_index < n_modes:
-        raise ValueError(
-            f"input_index {input_index} outside the mode range [0, {n_modes})"
-        )
+    n_modes = check_integer("n_modes", n_modes, 1)
+    input_index = check_integer("input_index", input_index, 0, n_modes)
     half = n_modes // 2
     modes = np.arange(n_modes)
     return ((modes - input_index + half) % n_modes) - half
@@ -173,8 +165,9 @@ def run_ensemble(scenario: Scenario, input_index: int, depths, runs: int) -> Ens
     whose column r is realization r's unit state on input_index. ``advance``
     scales the columns by their phase layers, O(N k) each, and multiplies them
     by the chunk's shared real motif, one O(N^2 k) real product per step, so
-    an ensemble costs O(runs * depth * N^2). depths must be strictly
-    increasing integers with the last entry equal to scenario.depth, so every
+    an ensemble costs O(runs * depth * N^2). runs, input_index and depths
+    are integers held by ``network.check_integer``; depths must be strictly
+    increasing with the last entry equal to scenario.depth, so every
     snapshot falls inside a single pass through the steps; each column's
     distribution is checked for its norm there. Realization r draws from
     stream r of scenario.seed and chunks accumulate in ascending order, so a
@@ -183,24 +176,16 @@ def run_ensemble(scenario: Scenario, input_index: int, depths, runs: int) -> Ens
     ``pure`` has no disorder: its one realization is propagated once,
     whatever ``runs`` says.
     """
-    checked = []
-    for d in depths:
-        try:
-            checked.append(operator.index(d))
-        except TypeError:
-            raise ValueError(f"depths must be integers, got the entry {d!r}") from None
-    depths = tuple(checked)
-    if not depths or depths[0] < 1:
-        raise ValueError(f"depths must be nonempty and positive, got {depths}")
+    depths = tuple(check_integer(f"depths[{i}]", d, 1) for i, d in enumerate(depths))
+    if not depths:
+        raise ValueError("depths must be nonempty")
     if any(b <= a for a, b in zip(depths, depths[1:])):
         raise ValueError(f"depths must be strictly increasing, got {depths}")
     if depths[-1] != scenario.depth:
         raise ValueError(f"depths must end at depth {scenario.depth}, got {depths}")
-    if runs < 1:
-        raise ValueError(f"runs must be at least 1, got {runs}")
+    runs = check_integer("runs", runs, 1)
     n = scenario.n_modes
-    if not 0 <= input_index < n:
-        raise ValueError(f"input_index {input_index} outside the mode range [0, {n})")
+    input_index = check_integer("input_index", input_index, 0, n)
 
     runs = 1 if scenario.kind is ScenarioKind.PURE else runs
     sums = {d: np.zeros(n, dtype=np.float64) for d in depths}

@@ -193,26 +193,33 @@ def test_internal_phases_flag_can_be_turned_off_only_for_fully_random(kind):
         ({"kind": "sideways"}, "kind"),
         ({"kind": "pure", "motif_internal_phases": False}, "motif_internal_phases"),
         ({"kind": "fixed-disorder", "alpha_fixed": 7.0, "mystery": 1}, "alpha_fixed"),
+        ({"kind": "pure", "seed": 1.5}, "seed"),
+        ({"kind": "pure", "depth": 0}, "depth"),
+        ({"kind": "pure", "depth": 2.5}, "depth"),
     ],
     ids=[
         "n_couplers", "seed", "alpha_fixed-low", "alpha_fixed-high", "alpha_layer",
         "kind-number", "kind-name", "internal-flag", "range-before-unknown-key",
+        "seed-float", "depth", "depth-float",
     ],
 )
 def test_scenario_rules_keep_the_dataclass_message(scenario, field):
-    # the rule is checked once, by the dataclasses; config only adds the key path
-    with pytest.raises(ConfigError) as err:
-        parse_config({"scenario": scenario, "depths": [10]})
+    # the rule is checked once, by the dataclasses; config only adds the key path.
+    # The scenario's depth is the config's last depth, read and reported on depths.
     rest = {k: v for k, v in scenario.items() if k != "mystery"}
+    depth = rest.pop("depth", 10)
+    with pytest.raises(ConfigError) as err:
+        block = {k: v for k, v in scenario.items() if k != "depth"}
+        parse_config({"scenario": block, "depths": [depth]})
     with pytest.raises(ScenarioError) as direct:
         motif = MotifParams(
             n_couplers=rest.pop("n_couplers", DEFAULT_N_COUPLERS),
             theta=DEFAULT_THETA,
             phi=DEFAULT_PHI,
         )
-        Scenario(motif=motif, depth=10, seed=rest.pop("seed", 0), **rest)
+        Scenario(motif=motif, depth=depth, seed=rest.pop("seed", 0), **rest)
     assert direct.value.field == field
-    assert err.value.key == f"scenario.{field}"
+    assert err.value.key == ("depths[0]" if field == "depth" else f"scenario.{field}")
     assert err.value.message == direct.value.message
 
 

@@ -487,13 +487,13 @@ def test_ensemble_peak_memory_does_not_grow_with_runs():
         finally:
             tracemalloc.stop()
 
-    # A chunk holds min(runs, CHUNK) realizations as the rows of one state,
+    # A chunk holds min(runs, CHUNK) realizations as the columns of one state,
     # so memory grows with runs up to one chunk and is flat beyond it: the
     # peak at four chunks must stay near the peak at one.
     # The first run fills one-time caches (about 0.9 MB), so a warm-up comes
     # before the peaks. build_motif's zero matrix with its index arrays and
-    # a chunk's row states leave nothing behind between chunks, but CPython
-    # keeps up to 2000 freed tuples of each size for reuse, and any numpy call
+    # a chunk's (2N, k) column states leave nothing behind between chunks, but
+    # CPython keeps up to 2000 freed tuples of each size for reuse, and any numpy call
     # on the ensemble path that parks a few there per realization grows the
     # peak until that cap is reached (about 110 KB, whatever the run count).
     # The long warm-up fills those free lists; a full collection would empty
