@@ -197,6 +197,7 @@ def eigenvector_localization(w) -> SpectralReport:
     eigenvalues, eigenvectors = eig_unitary(w)
     phases = np.angle(eigenvalues)
     iprs = np.sum(np.abs(eigenvectors) ** 4, axis=0)
+    del eigenvectors  # freed before the log below makes a decomposition of its own
     order = np.argsort(phases, kind="stable")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BranchCutWarning)

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .analysis import DEFAULT_FIT_FLOOR, DEFAULT_THRESHOLDS
-from .network import MotifParams, Scenario, ScenarioError, check_strength
+from .network import MotifParams, Scenario, ScenarioError, check_depths, check_strength
 
 QUARTER_PI = math.pi / 4.0
 
@@ -66,6 +66,15 @@ def _expect_mapping(value, key):
     return value
 
 
+def _json_text(value) -> str:
+    """``value`` as it was written in JSON (``true``, ``"5"``, ``null``); repr
+    for a value JSON cannot write, such as a numpy scalar handed in from Python."""
+    try:
+        return json.dumps(value)
+    except (TypeError, ValueError):
+        return repr(value)
+
+
 def _number(value, key, integer=False, low=None, high=None):
     """Read one JSON number: the only place one becomes a Python number.
 
@@ -75,7 +84,7 @@ def _number(value, key, integer=False, low=None, high=None):
     """
     kinds, noun = (int, "an integer") if integer else ((int, float), "a number")
     if isinstance(value, bool) or not isinstance(value, kinds):
-        raise ConfigError(key, f"expected {noun}, got {value!r}")
+        raise ConfigError(key, f"expected {noun}, got {_json_text(value)}")
     try:
         finite = math.isfinite(value)
     except OverflowError:  # an int past the largest double
@@ -92,7 +101,7 @@ def _number(value, key, integer=False, low=None, high=None):
 
 def _expect_bool(value, key):
     if not isinstance(value, bool):
-        raise ConfigError(key, f"expected true or false, got {value!r}")
+        raise ConfigError(key, f"expected true or false, got {_json_text(value)}")
     return value
 
 
@@ -165,12 +174,11 @@ def parse_config(data, seed_override=None, runs_override=None) -> RunConfig:
     raw_depths = data.pop("depths")
     if not isinstance(raw_depths, list) or not raw_depths:
         raise ConfigError("depths", "expected a nonempty array of step counts")
-    depths = tuple(
-        _number(d, f"depths[{i}]", integer=True, low=1) for i, d in enumerate(raw_depths)
-    )
-    for i in range(1, len(depths)):
-        if depths[i] <= depths[i - 1]:
-            raise ConfigError(f"depths[{i}]", "depths must be strictly increasing")
+    depths = [_number(d, f"depths[{i}]", integer=True, low=1) for i, d in enumerate(raw_depths)]
+    try:
+        depths = check_depths(depths)
+    except ScenarioError as exc:
+        raise ConfigError(exc.field, exc.message) from exc
 
     try:
         scenario = Scenario(
@@ -206,7 +214,7 @@ def parse_config(data, seed_override=None, runs_override=None) -> RunConfig:
         if not isinstance(name, str) or name not in EMIT_CHOICES:
             choices = ", ".join(sorted(EMIT_CHOICES))
             raise ConfigError(
-                f"emit[{i}]", f"unknown output {name!r}; choose from {choices}"
+                f"emit[{i}]", f"unknown output {_json_text(name)}; choose from {choices}"
             )
         if name not in emit:
             emit.append(name)
@@ -235,7 +243,7 @@ def parse_config(data, seed_override=None, runs_override=None) -> RunConfig:
 
     output = data.pop("output", None)
     if output is not None and not isinstance(output, str):
-        raise ConfigError("output", f"expected a string path, got {output!r}")
+        raise ConfigError("output", f"expected a string path, got {_json_text(output)}")
     if data:
         raise ConfigError(next(iter(data)), "unknown key")
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import numbers
 from dataclasses import dataclass
 
@@ -46,6 +47,17 @@ def check_integer(field: str, value, low: int, high: int | None = None) -> int:
         bound = f"be at least {low}" if high is None else f"lie in [{low}, {high})"
         raise ScenarioError(field, f"must {bound}, got {value}")
     return value
+
+
+def check_depths(depths) -> tuple:
+    """Return snapshot depths as a tuple of ints, each at least 1 and above the
+    one before; else raise ScenarioError on the first ``depths[i]`` at fault."""
+    depths = tuple(check_integer(f"depths[{i}]", d, 1) for i, d in enumerate(depths))
+    for i in range(1, len(depths)):
+        if depths[i] <= depths[i - 1]:
+            message = f"must be above depths[{i - 1}] = {depths[i - 1]}, got {depths[i]}"
+            raise ScenarioError(f"depths[{i}]", message)
+    return depths
 
 
 @dataclass(frozen=True)
@@ -206,12 +218,12 @@ class Scenario:
 
 def scenario_layers(scenario: Scenario, rngs):
     """The bare motif u, shared by a chunk of realizations, and an iterator of
-    each step's phase factors, one row per stream in ``rngs``.
+    each step's phase layers, one row per stream in ``rngs``.
 
-    The iterator yields each step's (before, after) as (len(rngs), 2N) arrays
-    or None, so stream r's column state takes step m as
-    x -> after[r] * (u @ (before[r] * x)), that is diag(after) u diag(before).
-    A frozen layer is folded into every step's before, as tabled below.
+    The iterator yields each step's (fixed, before, after): fixed the frozen
+    layer's factors exp(1j * phases), before and after phase angles, each a
+    (len(rngs), 2N) array or None. Stream r's step m is
+    diag(exp(1j after[r])) u diag(fixed[r] exp(1j before[r])).
 
     Stream consumption contract, which downstream code and the tests rely on:
     each stream's frozen layer is drawn first, by this call, then its per-step
@@ -229,60 +241,110 @@ def scenario_layers(scenario: Scenario, rngs):
     # test_scan_counts_one_ensemble_per_strength (ROADMAP item 1)
     for _ in rngs:
         u = build_motif(scenario.motif)
+    draw = functools.partial(build_phase_layer, n, rngs=rngs)
 
-    def draw(strength):
-        # exp(1j * phases) bit for bit, without the complex exponential
-        phases = build_phase_layer(n, strength, rngs)
-        z = np.empty(phases.shape, dtype=np.complex128)
-        np.cos(phases, out=z.real)
-        np.sin(phases, out=z.imag)
-        return z
-
-    frozen = draw(scenario.alpha_fixed) if kind.frozen else None
+    fixed = _cis(draw(scenario.alpha_fixed)) if kind.frozen else None
     if not kind.fresh:
-        return u, ((frozen, None) for _ in range(depth))
+        return u, ((fixed, None, None) for _ in range(depth))
     alpha, internal = scenario.alpha_layer, scenario.motif_internal_phases
     # nothing follows the last motif: its between-layer is never drawn
     between = depth - 1 if kind is ScenarioKind.FULLY_RANDOM else 0
 
     def layers():
         for m in range(depth):
-            before = draw(alpha)
-            if not internal:
-                before = None  # switched off, but drawn all the same
-            elif frozen is not None:
-                before = frozen * before
-            yield before, (draw(alpha) if m < between else None)
+            before = draw(alpha)  # drawn even when switched off
+            yield fixed, before if internal else None, draw(alpha) if m < between else None
 
     return u, layers()
+
+
+def _cis(angles: np.ndarray) -> np.ndarray:
+    """exp(1j * angles) bit for bit, without the complex exponential."""
+    z = np.empty(angles.shape, dtype=np.complex128)
+    np.cos(angles, out=z.real)
+    np.sin(angles, out=z.imag)
+    return z
+
+
+def _phase(fixed, angles):
+    """The factors fixed * exp(1j * angles), either one None for none; None if both are."""
+    if angles is None:
+        return fixed
+    return _cis(angles) if fixed is None else fixed * _cis(angles)
 
 
 def scenario_step_factors(scenario: Scenario, rng: RngStream):
     """Yield each step's dense factor diag(after) u diag(before), left factor last."""
     u, layers = scenario_layers(scenario, [rng])
-    for before, after in layers:
-        step = u if before is None else u * before
-        yield step if after is None else after.T * step
+    for fixed, before, after in layers:
+        phase = _phase(fixed, before)
+        step = u if phase is None else u * phase
+        yield step if after is None else _cis(after).T * step
+
+
+def _modes(lo: int, hi: int, shift: int, n: int):
+    """Ring modes of rows lo ... hi-1 of a frame rolled by ``shift``: a slice
+    where they do not run past mode n-1, else an index array."""
+    start = (lo + shift) % n
+    if start + hi - lo <= n:
+        return slice(start, start + hi - lo)
+    return np.arange(start, start + hi - lo) % n
 
 
 def advance(u: np.ndarray, layers, x: np.ndarray):
-    """Yield the column states x, (2N, k) and C-contiguous, after each step
-    diag(after) u diag(before), as x -> u (before.T * x), then * after.T, with
-    before and after (k, 2N) or (1, 2N): the phase layers scale x elementwise,
-    O(N k), and only u is multiplied, O(N^2 k) per step.
+    """Yield the (2N, k) column states after each step of ``layers``, as
+    ``scenario_layers`` yields them with (k, 2N) or (1, 2N) rows, starting
+    from the columns of x, and touch only the modes they can have reached.
 
-    The couplers are real rotations, so u is real (its imaginary part is
-    exactly zero) and is taken once as a real matrix: each step multiplies
-    it into the (2N, 2k) real view of x, one real GEMM with half the flops of
-    the complex product. Each yielded state is a fresh array."""
+    Each sublayer moves amplitude by at most one mode, so a step reaches one
+    pair further out on each side of the rows it takes. The state is held
+    in a frame rolled by an even number of modes, which leaves the motif as
+    it is, with x's nonzero rows in the middle, so this light cone stays one
+    slice that grows by two modes per side until it covers the ring: from a
+    single mode, W_m = min(4m, 2N) rows after step m. A step computes the
+    phase factors of the cone's rows alone and multiplies them by the
+    ur[out, in] view of the motif's real part (the couplers are real
+    rotations, so u's imaginary part is exactly zero): one real GEMM on the
+    (W, 2k) real view, O(k W_m^2). Rows outside the cone are exact zeros.
+
+    A between-layer's angles are added to the next step's internal ones, so
+    a fresh kind takes one cos and sin per reached mode and step. A yielded
+    state thus lacks the phases still pending, which no probability sees;
+    the last state, with none pending, is exact. Each yielded state is a
+    fresh array."""
+    n, k = x.shape
     ur = np.ascontiguousarray(u.real)
-    for before, after in layers:
-        if before is not None:
-            x = x * before.T
-        x = (ur @ x.view(np.float64)).view(np.complex128)
-        if after is not None:
-            x *= after.T
+    x = np.ascontiguousarray(x)
+    seeds = np.flatnonzero(np.any(x != 0, axis=1))
+    lo, hi = int(seeds[0]), int(seeds[-1]) + 1
+    # an even shift that centres the seed rows: the motif repeats every pair
+    shift = lo - (n - (hi - lo)) // 2
+    shift -= shift % 2
+    lo, hi = lo - shift, hi - shift
+    pending = None
+    for fixed, before, after in layers:
+        rows = _modes(lo, hi, shift, n)
+        turns = [a[:, rows] for a in (before, pending) if a is not None]
+        phase = _phase(None if fixed is None else fixed[:, rows],
+                       functools.reduce(np.add, turns) if turns else None)
+        x = x[rows] if phase is None else x[rows] * phase.T
+        out_lo, out_hi = 2 * ((lo + 1) // 2) - 2, 2 * (hi // 2) + 2
+        if out_lo < 0 or out_hi > n:
+            out_lo, out_hi = 0, n
+        y = (ur[out_lo:out_hi, lo:hi] @ x.view(np.float64)).view(np.complex128)
+        if out_hi - out_lo < n or shift:
+            x = np.zeros((n, k), dtype=np.complex128)
+            x[_modes(out_lo, out_hi, shift, n)] = y
+        else:
+            x = y
+        lo, hi, pending = out_lo, out_hi, after
+        if hi - lo == n:
+            shift = 0  # the whole ring needs no frame
         yield x
+
+
+# identity columns advanced together by ``compose``, each block in its own light cone
+COLUMN_BLOCK = 40
 
 
 def compose(scenario: Scenario) -> np.ndarray:
@@ -293,21 +355,32 @@ def compose(scenario: Scenario) -> np.ndarray:
 
     pure and fixed-disorder repeat one step, so its depth-th power is taken by
     squaring, O(N^3 log depth), raising NonUnitaryError if it overflows. The
-    kinds with fresh layers push the identity's columns through ``advance``,
-    O(N^3 depth), and return the last state as it is.
+    kinds with fresh layers push the identity's columns through ``advance``
+    in blocks of COLUMN_BLOCK, all blocks sharing each step's draws, and
+    return the last states as they are. A block of w columns grows its own
+    light cone, W_m = min(w + 4m, 2N) rows at step m, so it costs
+    O(w W_m^2) per step, and O(N^3 depth) once the cones cover the ring.
     """
     u, layers = scenario_layers(scenario, [RngStream(scenario.seed, 0)])
     if not scenario.kind.fresh:
-        before, _ = next(layers)
-        step = u if before is None else u * before
+        fixed, _, _ = next(layers)
+        step = u if fixed is None else u * fixed
         with np.errstate(over="ignore", invalid="ignore"):
             w = np.linalg.matrix_power(step, scenario.depth)
         if not np.isfinite(w).all():
             raise NonUnitaryError(f"the step's power at depth {scenario.depth} overflowed")
         return w
-    for w in advance(u, layers, np.eye(scenario.n_modes, dtype=np.complex128)):
-        pass  # keep only the last state: collecting them would hold depth matrices
-    return w
+    n = scenario.n_modes
+    starts = range(0, n, COLUMN_BLOCK)
+    # identity columns a ... a+COLUMN_BLOCK-1, made as each block starts
+    blocks = (np.eye(n, min(COLUMN_BLOCK, n - a), -a, dtype=np.complex128) for a in starts)
+    # the blocks step in lockstep, so tee holds one step's layers at a time,
+    # and share one real motif, which advance then takes as it is
+    shared = itertools.tee(layers, len(starts))
+    run_block = functools.partial(advance, np.ascontiguousarray(u.real))
+    for states in zip(*map(run_block, shared, blocks)):
+        pass  # keep only the last states: collecting them would hold depth matrices
+    return np.hstack(states)
 
 
 def disordered_motif(scenario: Scenario) -> np.ndarray:

@@ -3,9 +3,10 @@
 States live on the 2N modes of a ring. ``propagate`` reads the output
 distribution of one excitation off a composed transfer matrix. Ensembles take
 their realizations CHUNK at a time as the columns of one (2N, k) state, each
-column starting as the input state, push the columns through
-``network.advance``, as ``compose`` does the identity's columns, and average
-the distributions over realizations at chosen snapshot depths.
+column starting as the input state, push the columns through the input's
+light cone with ``network.advance``, as ``compose`` does blocks of the
+identity's columns, and average the distributions over realizations at
+chosen snapshot depths.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import UNITARITY_TOL, NonUnitaryError, as_matrix, unitarity_defect
-from .network import RngStream, Scenario, ScenarioKind, advance, check_integer
+from .network import RngStream, Scenario, ScenarioKind, advance, check_depths, check_integer
 from .network import scenario_layers
 from .network import scenario_step_factors  # noqa: F401  (patched by perfbench's tracer)
 
@@ -163,24 +164,25 @@ def run_ensemble(scenario: Scenario, input_index: int, depths, runs: int) -> Ens
 
     Realizations go in ascending chunks of CHUNK, each chunk one (2N, k) state
     whose column r is realization r's unit state on input_index. ``advance``
-    scales the columns by their phase layers, O(N k) each, and multiplies them
-    by the chunk's shared real motif, one O(N^2 k) real product per step, so
-    an ensemble costs O(runs * depth * N^2). runs, input_index and depths
-    are integers held by ``network.check_integer``; depths must be strictly
-    increasing with the last entry equal to scenario.depth, so every
-    snapshot falls inside a single pass through the steps; each column's
-    distribution is checked for its norm there. Realization r draws from
-    stream r of scenario.seed and chunks accumulate in ascending order, so a
-    run repeats bit for bit; a realization's last bits depend on its column
-    in the chunk.
+    steps only the light cone of input_index, W_m = min(4m, 2N) modes after
+    step m (at most 1 + 4m): it takes the phase factors of those modes
+    alone, one cos and sin per reached mode for the fresh kinds, and one
+    real O(k W_m^2) product with the chunk's shared motif per step, so an
+    ensemble costs at most O(runs * depth * N^2). Results differ from the
+    full-ring path by round-off only. runs, input_index and depths are
+    integers held by ``network.check_integer``; depths must be strictly
+    increasing (``network.check_depths``) with the last entry equal to
+    scenario.depth, so every snapshot falls inside a single pass through the
+    steps; each column's distribution is checked for its norm there.
+    Realization r draws from stream r of scenario.seed and chunks accumulate
+    in ascending order, so a run repeats bit for bit; a realization's last
+    bits depend on its column in the chunk.
     ``pure`` has no disorder: its one realization is propagated once,
     whatever ``runs`` says.
     """
-    depths = tuple(check_integer(f"depths[{i}]", d, 1) for i, d in enumerate(depths))
+    depths = check_depths(depths)
     if not depths:
         raise ValueError("depths must be nonempty")
-    if any(b <= a for a, b in zip(depths, depths[1:])):
-        raise ValueError(f"depths must be strictly increasing, got {depths}")
     if depths[-1] != scenario.depth:
         raise ValueError(f"depths must end at depth {scenario.depth}, got {depths}")
     runs = check_integer("runs", runs, 1)

@@ -20,6 +20,7 @@ from ringnet.config import (
     parse_config,
 )
 from ringnet.network import MotifParams, Scenario, ScenarioError, ScenarioKind
+from ringnet.simulate import run_ensemble
 
 INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
@@ -101,6 +102,57 @@ def test_depths_must_be_strictly_increasing():
         parse_config({"scenario": {"kind": "pure"}, "depths": []})
     with pytest.raises(ConfigError):
         parse_config({"scenario": {"kind": "pure"}})
+
+
+def test_depth_order_has_one_rule_for_config_and_ensemble():
+    with pytest.raises(ConfigError) as err:
+        parse_config({"scenario": {"kind": "pure"}, "depths": [2, 6, 5, 8]})
+    sc = Scenario(kind="pure", motif=MotifParams(2, 0.3, 0.2), depth=8, seed=0)
+    with pytest.raises(ScenarioError) as direct:
+        run_ensemble(sc, 0, (2, 6, 5, 8), 1)
+    assert direct.value.field == err.value.key == "depths[2]"
+    assert direct.value.message == err.value.message == "must be above depths[1] = 6, got 5"
+
+
+# a value of the wrong JSON type is quoted as the JSON text that wrote it
+INTEGER_KEY_VALUES = [(True, "true"), ("5", '"5"'), (None, "null"), ([3], "[3]")]
+BOOL_KEY_VALUES = [(1, "1"), ("true", '"true"'), (None, "null"), ([True], "[true]")]
+
+
+@pytest.mark.parametrize(
+    "value, text", INTEGER_KEY_VALUES, ids=["bool", "string", "null", "list"]
+)
+def test_integer_key_quotes_a_wrong_type_as_json(value, text):
+    with pytest.raises(ConfigError) as err:
+        parse_config({**minimal(), "runs": value})
+    assert str(err.value) == f"runs: expected an integer, got {text}"
+    with pytest.raises(ConfigError) as err:
+        parse_config(minimal(theta=value))
+    assert str(err.value) == f"scenario.theta: expected a number, got {text}"
+
+
+@pytest.mark.parametrize("value, text", BOOL_KEY_VALUES, ids=["number", "string", "null", "list"])
+def test_bool_key_quotes_a_wrong_type_as_json(value, text):
+    with pytest.raises(ConfigError) as err:
+        parse_config(minimal(kind="fully-random", motif_internal_phases=value))
+    key = "scenario.motif_internal_phases"
+    assert str(err.value) == f"{key}: expected true or false, got {text}"
+
+
+def test_string_keys_quote_a_wrong_value_as_json():
+    with pytest.raises(ConfigError) as err:
+        parse_config({**minimal(), "output": False})
+    assert str(err.value) == "output: expected a string path, got false"
+    with pytest.raises(ConfigError) as err:
+        parse_config({**minimal(), "emit": ["fits", "plots"]})
+    assert str(err.value).startswith('emit[1]: unknown output "plots"; choose from ')
+
+
+def test_a_value_json_cannot_write_is_quoted_as_python():
+    value = np.float32(3)
+    with pytest.raises(ConfigError) as err:
+        parse_config({**minimal(), "runs": value})
+    assert str(err.value) == f"runs: expected an integer, got {value!r}"
 
 
 def test_alpha_bounds_checked_per_field():

@@ -10,12 +10,14 @@ from scipy.optimize import linear_sum_assignment
 import ringnet.network
 from ringnet.analysis import eigenvector_localization
 from ringnet.linalg import unitarity_defect
+from ringnet.simulate import circular_displacements
 from ringnet.network import (
     TWO_PI,
     MotifParams,
     RngStream,
     Scenario,
     ScenarioKind,
+    advance,
     build_motif,
     build_phase_layer,
     compose,
@@ -353,6 +355,69 @@ def test_compose_builds_no_dense_step_factor(kind, monkeypatch):
     assert np.abs(compose(sc) - dense).max() <= 1e-13
 
 
+FRESH_KINDS = ["fully-random", "intermediate"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(FRESH_KINDS),
+    st.integers(min_value=2, max_value=9),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from([1, 3, 5, 7]),
+    st.booleans(),
+)
+def test_compose_column_blocks_need_not_divide_the_ring(
+    kind, n_couplers, depth, seed, block, internal
+):
+    # blocks of 3, 5 or 7 columns leave a short last block on most rings
+    alphas = {"alpha_layer": 2.0, **({"alpha_fixed": 1.0} if kind == "intermediate" else {})}
+    sc = dataclasses.replace(
+        _scenario(kind, n_couplers, depth, seed, **alphas),
+        motif_internal_phases=internal or kind == "intermediate",
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ringnet.network, "COLUMN_BLOCK", block)
+        w = compose(sc)
+    assert np.abs(w - sequential_product(sc)).max() <= 1e-13
+
+
+def cone_scenario(kind, n_couplers, depth):
+    alphas = {
+        "fixed-disorder": {"alpha_fixed": TWO_PI},
+        "fully-random": {"alpha_layer": TWO_PI},
+        "intermediate": {"alpha_fixed": TWO_PI, "alpha_layer": 1.0},
+    }.get(kind, {})
+    return _scenario(kind, n_couplers, depth, 17, **alphas)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n_couplers", [2, 5])
+@pytest.mark.parametrize("seam", ["first", "last"])
+def test_advance_leaves_exact_zeros_outside_the_light_cone(kind, n_couplers, seam):
+    # depth N + 2 runs past the wrap (4 * depth > 2N) from the seam ports 1 and 2N
+    sc = cone_scenario(kind, n_couplers, n_couplers + 2)
+    n, runs = sc.n_modes, 3
+    port = 0 if seam == "first" else n - 1
+    dense = [np.eye(n, dtype=np.complex128) for _ in range(runs)]
+    factors = [scenario_step_factors(sc, RngStream(sc.seed, r)) for r in range(runs)]
+    u, layers = scenario_layers(sc, [RngStream(sc.seed, r) for r in range(runs)])
+    start = np.zeros((n, runs), dtype=np.complex128)
+    start[port] = 1.0
+    distance = np.abs(circular_displacements(n, port))
+    for m, x in enumerate(advance(u, layers, start), start=1):
+        assert x.shape == (n, runs)
+        assert np.all(x[distance > 2 * m] == 0.0), m
+        for r in range(runs):
+            dense[r] = next(factors[r]) @ dense[r]
+            # a pending between-layer is a phase per mode, so compare probabilities
+            np.testing.assert_allclose(
+                np.abs(x[:, r]) ** 2, np.abs(dense[r][:, port]) ** 2, rtol=0, atol=1e-14
+            )
+    assert m == sc.depth
+    np.testing.assert_allclose(x[:, 0], dense[0][:, port], rtol=0, atol=1e-14)
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     st.integers(min_value=1, max_value=12),
@@ -467,22 +532,23 @@ def test_scenario_layers_draw_order(kind, internal):
     ref = RngStream(sc.seed, 0)
     strength = {"frozen": sc.alpha_fixed}
     drawn = {
-        label: np.exp(1j * (strength.get(label, sc.alpha_layer) * ref.uniform(n)))
+        label: strength.get(label, sc.alpha_layer) * ref.uniform(n)
         for label in LAYER_DRAWS[kind]
     }
 
     rng = RngStream(sc.seed, 0)
     u, layers = scenario_layers(sc, [rng])
-    # the motif stays bare: a frozen layer rides in every step's before
+    # the motif stays bare: a frozen layer rides in every step as its factors
     np.testing.assert_array_equal(u, build_motif(sc.motif))
     got = list(layers)
     assert len(got) == sc.depth
     frozen = drawn.get("frozen")
-    for m, (before, after) in enumerate(got):
+    for m, (fixed, before, after) in enumerate(got):
         want_before = drawn.get(f"before{m}") if internal else None
-        if frozen is not None:
-            want_before = frozen if want_before is None else frozen * want_before
-        for layer, want in ((before, want_before), (after, drawn.get(f"after{m}"))):
+        want_fixed = None if frozen is None else np.exp(1j * frozen)
+        for layer, want in (
+            (fixed, want_fixed), (before, want_before), (after, drawn.get(f"after{m}")),
+        ):
             if want is None:
                 assert layer is None
             else:
@@ -500,8 +566,8 @@ def test_scenario_layers_row_r_is_stream_r_alone(kind, internal):
     for r in range(3):
         u_r, layers_r = scenario_layers(sc, [RngStream(sc.seed, r)])
         np.testing.assert_array_equal(u, u_r)
-        for (before, after), (before_r, after_r) in zip(got, layers_r, strict=True):
-            for layer, want in ((before, before_r), (after, after_r)):
+        for step, step_r in zip(got, layers_r, strict=True):
+            for layer, want in zip(step, step_r, strict=True):
                 if want is None:
                     assert layer is None
                 else:
