@@ -18,13 +18,28 @@ import numpy as np
 
 from .linalg import BranchCutWarning, as_matrix, branch_cut_count, eig_unitary
 from .linalg import principal_log_unitary
-from .network import check_integer
+from .network import ScenarioError, check_integer
 from .simulate import Distribution, circular_displacements
 
 LOG10_E = float(np.log10(np.e))
 HERMITIAN_TOL = 1e-6
 DEFAULT_THRESHOLDS = (0.8, 1.25)
 DEFAULT_FIT_FLOOR = 1e-12
+
+
+def check_thresholds(field: str, value) -> tuple:
+    """Return (low, high) as floats, 0 < low <= high; else raise ScenarioError on ``field``."""
+    low, high = float(value[0]), float(value[1])
+    if not 0.0 < low <= high:
+        raise ScenarioError(field, f"must satisfy 0 < low <= high, got {(low, high)}")
+    return low, high
+
+
+def check_fit_floor(field: str, value) -> float:
+    """Return a fit floor held to [0, 1) as a float; else raise ScenarioError on ``field``."""
+    if not 0.0 <= value < 1.0:
+        raise ScenarioError(field, f"must lie in [0, 1), got {float(value)!r}")
+    return float(value)
 
 
 class Regime(str, enum.Enum):
@@ -99,11 +114,8 @@ def classify(
     localized, between them ambiguous. Both fits always run; a degenerate
     pair of exact fits (both ssr zero) counts as ambiguous.
     """
-    low, high = float(thresholds[0]), float(thresholds[1])
-    if not 0.0 < low <= high:
-        raise ValueError(f"thresholds must satisfy 0 < low <= high, got {thresholds}")
-    if not 0.0 <= floor < 1.0:
-        raise ValueError(f"floor must lie in [0, 1), got {floor!r}")
+    low, high = check_thresholds("thresholds", thresholds)
+    floor = check_fit_floor("floor", floor)
     keep = dist.probabilities > floor
     n_points = int(np.count_nonzero(keep))
     if n_points < 3:

@@ -3,7 +3,8 @@
 A run config is a JSON object with a nested ``scenario`` block plus
 simulation and analysis settings. Every key except ``scenario.kind`` and
 ``depths`` has a default. Validation errors carry the dotted key path of the
-offending entry so the command line can point straight at it.
+offending entry so the command line can point straight at it. This module
+reads JSON shapes and types; the range rules belong to the library.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ import json
 import math
 from dataclasses import dataclass
 
-from .analysis import DEFAULT_FIT_FLOOR, DEFAULT_THRESHOLDS
-from .network import MotifParams, Scenario, ScenarioError, check_depths, check_strength
+from .analysis import DEFAULT_FIT_FLOOR, DEFAULT_THRESHOLDS, check_fit_floor, check_thresholds
+from .network import MotifParams, Scenario, ScenarioError, check_depths, check_integer
+from .network import check_strength
 
 QUARTER_PI = math.pi / 4.0
 
@@ -26,6 +28,8 @@ DEFAULT_EMIT = ("distributions", "fits", "variance_trace")
 MAX_N_COUPLERS = 2048  # dense 2N x 2N complex matrices then take 256 MiB each
 
 EMIT_CHOICES = frozenset(DEFAULT_EMIT) | {"spectral"}
+JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+              int: "a number", float: "a number", type(None): "null"}
 
 class ConfigError(ValueError):
     """A config entry is missing, mistyped, or out of range.
@@ -60,9 +64,11 @@ class RunConfig:
         return self.input_port - 1
 
 
-def _expect_mapping(value, key):
-    if not isinstance(value, dict):
-        raise ConfigError(key, f"expected an object, got {type(value).__name__}")
+def _expect(value, kind, key):
+    """Return ``value`` if it is a ``kind``, dict or list; else name both JSON types."""
+    if not isinstance(value, kind):
+        got = JSON_TYPES.get(type(value), type(value).__name__)
+        raise ConfigError(key, f"expected {JSON_TYPES[kind]}, got {got}")
     return value
 
 
@@ -75,12 +81,12 @@ def _json_text(value) -> str:
         return repr(value)
 
 
-def _number(value, key, integer=False, low=None, high=None):
+def _number(value, key, integer=False):
     """Read one JSON number: the only place one becomes a Python number.
 
-    Refuses a bool, a non-int where ``integer`` is set (else a non-number), a
-    value that is not finite or does not fit a double, and one outside
-    [low, high]. Returns an int where ``integer`` is set, else a float.
+    Refuses a bool, a non-int where ``integer`` is set (else a non-number), and
+    a value that is not finite or does not fit a double; ranges are the
+    library's. Returns an int where ``integer`` is set, else a float.
     """
     kinds, noun = (int, "an integer") if integer else ((int, float), "a number")
     if isinstance(value, bool) or not isinstance(value, kinds):
@@ -91,18 +97,17 @@ def _number(value, key, integer=False, low=None, high=None):
         finite = False
     if not finite:
         raise ConfigError(key, "must be finite and fit a double")
-    value = value if integer else float(value)
-    if low is not None and value < low:
-        raise ConfigError(key, f"must be at least {low}, got {value}")
-    if high is not None and value > high:
-        raise ConfigError(key, f"must be at most {high}, got {value}")
-    return value
+    return value if integer else float(value)
 
 
-def _expect_bool(value, key):
-    if not isinstance(value, bool):
-        raise ConfigError(key, f"expected true or false, got {_json_text(value)}")
-    return value
+def _library(rule, *args, block=None, **kwargs):
+    """Call a library rule; its ScenarioError becomes a ConfigError on the same
+    key, or on ``block.<field>`` (``block`` itself for a rule on several fields)."""
+    try:
+        return rule(*args, **kwargs)
+    except ScenarioError as exc:
+        key = exc.field if block is None else f"{block}.{exc.field}" if exc.field else block
+        raise ConfigError(key, exc.message) from exc
 
 
 def _unique_keys(pairs) -> dict:
@@ -128,7 +133,7 @@ def load_config(path: str) -> dict:
         raise
     except (ValueError, RecursionError) as exc:
         raise ConfigError("<config>", f"invalid JSON in {path}: {exc}") from exc
-    return _expect_mapping(data, "<config>")
+    return _expect(data, dict, "<config>")
 
 
 def parse_config(data, seed_override=None, runs_override=None) -> RunConfig:
@@ -136,15 +141,16 @@ def parse_config(data, seed_override=None, runs_override=None) -> RunConfig:
 
     Each block is read from a copy that loses every key as it is read, so a
     key still there once the block's known keys have been checked is unknown.
-    Scenario entries are read for type only: MotifParams and Scenario hold the
-    range and kind rules, and their ScenarioError becomes ``scenario.<field>``.
+    Entries are read for JSON type only: the library's rules hold the ranges,
+    and ``_library`` turns their ScenarioError into a ConfigError on the entry's
+    key. The ring-size ceiling and input_port's range are this reader's own.
     Overrides replace the file's seed and runs before any checks, so an
     out-of-range override fails the same way an out-of-range file entry does.
     """
-    data = dict(_expect_mapping(data, "<config>"))
+    data = dict(_expect(data, dict, "<config>"))
     if "scenario" not in data:
         raise ConfigError("scenario", "required key is missing")
-    raw = dict(_expect_mapping(data.pop("scenario"), "scenario"))
+    raw = dict(_expect(data.pop("scenario"), dict, "scenario"))
     if "kind" not in raw:
         raise ConfigError("scenario.kind", "required key is missing")
     kind = raw.pop("kind")
@@ -161,9 +167,10 @@ def parse_config(data, seed_override=None, runs_override=None) -> RunConfig:
     phi = _number(raw.pop("phi", DEFAULT_PHI), "scenario.phi")
     alpha_fixed = _number(raw.pop("alpha_fixed", 0.0), "scenario.alpha_fixed")
     alpha_layer = _number(raw.pop("alpha_layer", 0.0), "scenario.alpha_layer")
-    internal = _expect_bool(
-        raw.pop("motif_internal_phases", True), "scenario.motif_internal_phases"
-    )
+    internal = raw.pop("motif_internal_phases", True)
+    if not isinstance(internal, bool):
+        message = f"expected true or false, got {_json_text(internal)}"
+        raise ConfigError("scenario.motif_internal_phases", message)
     seed = raw.pop("seed", DEFAULT_SEED)
     if seed_override is not None:
         seed = seed_override
@@ -171,44 +178,29 @@ def parse_config(data, seed_override=None, runs_override=None) -> RunConfig:
 
     if "depths" not in data:
         raise ConfigError("depths", "required key is missing")
-    raw_depths = data.pop("depths")
-    if not isinstance(raw_depths, list) or not raw_depths:
-        raise ConfigError("depths", "expected a nonempty array of step counts")
-    depths = [_number(d, f"depths[{i}]", integer=True, low=1) for i, d in enumerate(raw_depths)]
-    try:
-        depths = check_depths(depths)
-    except ScenarioError as exc:
-        raise ConfigError(exc.field, exc.message) from exc
+    raw_depths = _expect(data.pop("depths"), list, "depths")
+    depths = [_number(d, f"depths[{i}]", integer=True) for i, d in enumerate(raw_depths)]
+    depths = _library(check_depths, depths)
 
-    try:
-        scenario = Scenario(
-            kind=kind,
-            motif=MotifParams(n_couplers=n_couplers, theta=theta, phi=phi),
-            depth=depths[-1],
-            seed=seed,
-            alpha_fixed=alpha_fixed,
-            alpha_layer=alpha_layer,
-            motif_internal_phases=internal,
-        )
-    except ScenarioError as exc:
-        key = "scenario" if exc.field is None else f"scenario.{exc.field}"
-        raise ConfigError(key, exc.message) from exc
+    motif = _library(MotifParams, n_couplers, theta, phi, block="scenario")
+    scenario = _library(
+        Scenario, kind=kind, motif=motif, depth=depths[-1], seed=seed,
+        alpha_fixed=alpha_fixed, alpha_layer=alpha_layer, motif_internal_phases=internal,
+        block="scenario",
+    )
     if raw:
         raise ConfigError(f"scenario.{next(iter(raw))}", "unknown key")
 
-    input_port = _number(
-        data.pop("input_port", n_couplers), "input_port",
-        integer=True, low=1, high=scenario.n_modes,
-    )
+    input_port = _number(data.pop("input_port", n_couplers), "input_port", integer=True)
+    if not 1 <= input_port <= 2 * n_couplers:
+        raise ConfigError("input_port", f"must lie in [1, {2 * n_couplers}], got {input_port}")
 
     runs = data.pop("runs", DEFAULT_RUNS)
     if runs_override is not None:
         runs = runs_override
-    runs = _number(runs, "runs", integer=True, low=1)
+    runs = _library(check_integer, "runs", _number(runs, "runs", integer=True), 1)
 
-    raw_emit = data.pop("emit", list(DEFAULT_EMIT))
-    if not isinstance(raw_emit, list):
-        raise ConfigError("emit", f"expected an array, got {type(raw_emit).__name__}")
+    raw_emit = _expect(data.pop("emit", list(DEFAULT_EMIT)), list, "emit")
     emit = []
     for i, name in enumerate(raw_emit):
         if not isinstance(name, str) or name not in EMIT_CHOICES:
@@ -219,27 +211,22 @@ def parse_config(data, seed_override=None, runs_override=None) -> RunConfig:
         if name not in emit:
             emit.append(name)
 
-    fit_floor = _number(data.pop("fit_floor", DEFAULT_FIT_FLOOR), "fit_floor", low=0.0)
-    if fit_floor >= 1.0:
-        raise ConfigError("fit_floor", f"must be below 1, got {fit_floor}")
+    fit_floor = _number(data.pop("fit_floor", DEFAULT_FIT_FLOOR), "fit_floor")
+    fit_floor = _library(check_fit_floor, "fit_floor", fit_floor)
 
-    raw_thresholds = data.pop("thresholds", list(DEFAULT_THRESHOLDS))
-    if not isinstance(raw_thresholds, list) or len(raw_thresholds) != 2:
-        raise ConfigError("thresholds", "expected an array of two ratio bounds")
-    low, high = (_number(t, f"thresholds[{i}]") for i, t in enumerate(raw_thresholds))
-    if not 0.0 < low <= high:
-        raise ConfigError("thresholds", f"must satisfy 0 < low <= high, got {raw_thresholds}")
+    thresholds = _expect(data.pop("thresholds", list(DEFAULT_THRESHOLDS)), list, "thresholds")
+    if len(thresholds) != 2:
+        raise ConfigError("thresholds", f"expected two ratio bounds, got {len(thresholds)}")
+    thresholds = [_number(t, f"thresholds[{i}]") for i, t in enumerate(thresholds)]
+    thresholds = _library(check_thresholds, "thresholds", thresholds)
 
     alphas = None
     if "alphas" in data:
-        raw_alphas = data.pop("alphas")
-        if not isinstance(raw_alphas, list) or not raw_alphas:
-            raise ConfigError("alphas", "expected a nonempty array of strengths")
-        keys = [f"alphas[{i}]" for i in range(len(raw_alphas))]
-        try:  # the strength rule is Scenario's, reported on the scan's own key
-            alphas = tuple(check_strength(k, _number(a, k)) for k, a in zip(keys, raw_alphas))
-        except ScenarioError as exc:
-            raise ConfigError(exc.field, exc.message) from exc
+        alphas = _expect(data.pop("alphas"), list, "alphas")
+        if not alphas:
+            raise ConfigError("alphas", "must be nonempty")
+        keys = [f"alphas[{i}]" for i in range(len(alphas))]
+        alphas = tuple(_library(check_strength, k, _number(a, k)) for k, a in zip(keys, alphas))
 
     output = data.pop("output", None)
     if output is not None and not isinstance(output, str):
@@ -254,7 +241,7 @@ def parse_config(data, seed_override=None, runs_override=None) -> RunConfig:
         runs=runs,
         emit=tuple(emit),
         fit_floor=fit_floor,
-        thresholds=(low, high),
+        thresholds=thresholds,
         alphas=alphas,
         output=output,
     )

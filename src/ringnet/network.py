@@ -50,9 +50,11 @@ def check_integer(field: str, value, low: int, high: int | None = None) -> int:
 
 
 def check_depths(depths) -> tuple:
-    """Return snapshot depths as a tuple of ints, each at least 1 and above the
-    one before; else raise ScenarioError on the first ``depths[i]`` at fault."""
+    """Return snapshot depths as a nonempty tuple of ints, each at least 1 and above
+    the one before; else raise ScenarioError on ``depths`` or the first ``depths[i]``."""
     depths = tuple(check_integer(f"depths[{i}]", d, 1) for i, d in enumerate(depths))
+    if not depths:
+        raise ScenarioError("depths", "must be nonempty")
     for i in range(1, len(depths)):
         if depths[i] <= depths[i - 1]:
             message = f"must be above depths[{i - 1}] = {depths[i - 1]}, got {depths[i]}"

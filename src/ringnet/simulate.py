@@ -170,8 +170,8 @@ def run_ensemble(scenario: Scenario, input_index: int, depths, runs: int) -> Ens
     real O(k W_m^2) product with the chunk's shared motif per step, so an
     ensemble costs at most O(runs * depth * N^2). Results differ from the
     full-ring path by round-off only. runs, input_index and depths are
-    integers held by ``network.check_integer``; depths must be strictly
-    increasing (``network.check_depths``) with the last entry equal to
+    integers held by ``network.check_integer``; depths must be nonempty and
+    strictly increasing (``network.check_depths``) with the last entry equal to
     scenario.depth, so every snapshot falls inside a single pass through the
     steps; each column's distribution is checked for its norm there.
     Realization r draws from stream r of scenario.seed and chunks accumulate
@@ -181,8 +181,6 @@ def run_ensemble(scenario: Scenario, input_index: int, depths, runs: int) -> Ens
     whatever ``runs`` says.
     """
     depths = check_depths(depths)
-    if not depths:
-        raise ValueError("depths must be nonempty")
     if depths[-1] != scenario.depth:
         raise ValueError(f"depths must end at depth {scenario.depth}, got {depths}")
     runs = check_integer("runs", runs, 1)

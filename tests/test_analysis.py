@@ -96,9 +96,9 @@ def test_three_surviving_modes_always_have_displacement_spread():
 
 def test_fit_floor_validation():
     dist = profile_distribution(11, 5, 0.1, "gaussian")
-    with pytest.raises(ValueError, match="floor must lie"):
+    with pytest.raises(ValueError, match="floor: must lie"):
         classify(dist, floor=1.0)
-    with pytest.raises(ValueError, match="floor must lie"):
+    with pytest.raises(ValueError, match="floor: must lie"):
         classify(dist, floor=-0.1)
 
 
@@ -137,6 +137,8 @@ def test_classify_threshold_validation():
         classify(dist, thresholds=(1.5, 0.5))
     with pytest.raises(ValueError):
         classify(dist, thresholds=(0.0, 1.0))
+    # equal thresholds are allowed: only a ratio of exactly 1 is then ambiguous
+    assert classify(dist, thresholds=(1.0, 1.0)).regime is Regime.DIFFUSIVE
 
 
 def test_classify_is_scale_invariant_through_renormalization():

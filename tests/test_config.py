@@ -19,8 +19,9 @@ from ringnet.config import (
     load_config,
     parse_config,
 )
-from ringnet.network import MotifParams, Scenario, ScenarioError, ScenarioKind
-from ringnet.simulate import run_ensemble
+from ringnet.analysis import classify
+from ringnet.network import MotifParams, Scenario, ScenarioError, ScenarioKind, check_depths
+from ringnet.simulate import Distribution, run_ensemble
 
 INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
@@ -112,6 +113,68 @@ def test_depth_order_has_one_rule_for_config_and_ensemble():
         run_ensemble(sc, 0, (2, 6, 5, 8), 1)
     assert direct.value.field == err.value.key == "depths[2]"
     assert direct.value.message == err.value.message == "must be above depths[1] = 6, got 5"
+
+
+PURE = Scenario(kind="pure", motif=MotifParams(2, 0.3, 0.2), depth=8, seed=0)
+FLAT = Distribution(np.full(10, 0.1), 0)
+
+
+@pytest.mark.parametrize(
+    "entry, library, key, field",
+    [
+        ({"thresholds": [1.5, 0.5]}, lambda: classify(FLAT, (1.5, 0.5)), "thresholds", None),
+        ({"thresholds": [0, 1]}, lambda: classify(FLAT, (0, 1)), "thresholds", None),
+        ({"fit_floor": 1}, lambda: classify(FLAT, floor=1), "fit_floor", "floor"),
+        ({"fit_floor": -0.1}, lambda: classify(FLAT, floor=-0.1), "fit_floor", "floor"),
+        ({"depths": []}, lambda: check_depths([]), "depths", None),
+        ({"depths": []}, lambda: run_ensemble(PURE, 0, (), 1), "depths", None),
+        ({"depths": [0, 8]}, lambda: run_ensemble(PURE, 0, (0, 8), 1), "depths[0]", None),
+        ({"runs": 0}, lambda: run_ensemble(PURE, 0, (8,), 0), "runs", None),
+    ],
+    ids=[
+        "thresholds-order", "thresholds-zero", "floor-one", "floor-negative",
+        "depths-empty", "ensemble-depths-empty", "depth-zero", "runs-zero",
+    ],
+)
+def test_run_level_rules_give_one_text_in_config_and_library(entry, library, key, field):
+    # each rule has one owner in the library; config only names the entry's key
+    with pytest.raises(ConfigError) as err:
+        parse_config({**minimal(), **entry})
+    with pytest.raises(ScenarioError) as direct:
+        library()
+    assert err.value.key == key
+    assert direct.value.field == (field or key)
+    assert err.value.message == direct.value.message
+
+
+# a container of the wrong JSON type is named by its JSON type, not Python's
+@pytest.mark.parametrize(
+    "data, text",
+    [
+        ([minimal()], "<config>: expected an object, got an array"),
+        ({"scenario": ["pure"], "depths": [3]}, "scenario: expected an object, got an array"),
+        ({**minimal(), "depths": "3"}, "depths: expected an array, got a string"),
+        ({**minimal(), "emit": "fits"}, "emit: expected an array, got a string"),
+        ({**minimal(), "emit": None}, "emit: expected an array, got null"),
+        ({**minimal(), "thresholds": {"low": 1}}, "thresholds: expected an array, got an object"),
+        ({**minimal(), "thresholds": True}, "thresholds: expected an array, got a boolean"),
+        ({**minimal(), "alphas": 0.5}, "alphas: expected an array, got a number"),
+    ],
+    ids=["top-level", "scenario", "depths", "emit", "emit-null", "thresholds",
+         "thresholds-bool", "alphas"],
+)
+def test_wrong_container_is_named_by_its_json_type(data, text):
+    with pytest.raises(ConfigError) as err:
+        parse_config(data)
+    assert str(err.value) == text
+
+
+def test_a_json_file_holding_an_array_is_named_as_one(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path))
+    assert str(err.value) == "<config>: expected an object, got an array"
 
 
 # a value of the wrong JSON type is quoted as the JSON text that wrote it
@@ -280,8 +343,11 @@ def test_input_port_rejects_out_of_range():
     with pytest.raises(ConfigError) as err:
         parse_config(data)
     assert err.value.key == "input_port"
+    assert err.value.message == "must lie in [1, 40], got 41"
     cfg = parse_config({**minimal(), "input_port": 1})
     assert cfg.input_index == 0
+    # the last of the 2N one-based ports
+    assert parse_config({**minimal(), "input_port": 40}).input_index == 39
 
 
 def test_emit_values_validated_and_deduplicated():
@@ -300,6 +366,8 @@ def test_threshold_and_floor_validation():
     assert err.value.key == "thresholds"
     with pytest.raises(ConfigError):
         parse_config({**minimal(), "fit_floor": 1.0})
+    # equal thresholds leave no ambiguous band, which the rule allows
+    assert parse_config({**minimal(), "thresholds": [1, 1]}).thresholds == (1.0, 1.0)
 
 
 def test_scan_alphas_validated():
