@@ -10,10 +10,10 @@ keeps the table current.
 
 A mutant marked ``equivalent`` changes no behaviour the tests could see; its
 reason says why. It is still run, and it counts as wrong if it is killed.
+The copy holds the files git tracks, as they stand on disk, so an untracked
+file is not seen until it is added.
 
-    python3 scripts/mutants.py              # run the whole table
-    python3 scripts/mutants.py --check      # only check that every edit applies
-    python3 scripts/mutants.py --only cone  # mutants whose name contains "cone"
+    python3 scripts/mutants.py
 
 The report is a Markdown table: per mutant, killed or survived, the first
 failing test file and the seconds taken. The exit status is 1 when a mutant
@@ -23,7 +23,6 @@ the unmutated tree fails.
 
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import shutil
@@ -38,10 +37,6 @@ ROOT = Path(__file__).resolve().parent.parent
 # tier-1 less the table's own test, which any applied edit fails by design
 TIER1 = ["-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors",
          "--ignore=tests/test_mutants.py"]
-COPY_IGNORE = shutil.ignore_patterns(
-    ".git", "__pycache__", ".pytest_cache", ".hypothesis", "*.egg-info", "build",
-    "results", ".perfbench-tmp-*", ".benchmarks",
-)
 
 
 @dataclass(frozen=True)
@@ -119,13 +114,23 @@ def check_table(mutants=MUTANTS) -> list[str]:
     return faults
 
 
-def run_tier1(mutant: Mutant | None) -> tuple[bool, str, float]:
-    """Tier-1 with -x on a fresh copy of the tree, ``mutant`` applied if given:
+def tracked_files() -> list[str]:
+    """The checkout's files that git tracks and that are on disk."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z"], cwd=ROOT, check=True, stdout=subprocess.PIPE, text=True
+    ).stdout
+    return [name for name in listed.split("\0") if name and (ROOT / name).is_file()]
+
+
+def run_tier1(mutant: Mutant | None, files: list[str]) -> tuple[bool, str, float]:
+    """Tier-1 with -x on a fresh copy of ``files``, ``mutant`` applied if given:
     (passed, first failing test file or "", seconds)."""
     started = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="ringnet-mutant-") as tmp:
         tree = Path(tmp) / "tree"
-        shutil.copytree(ROOT, tree, ignore=COPY_IGNORE)
+        for name in files:
+            (tree / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, tree / name)
         if mutant is not None:
             path = tree / mutant.file
             path.write_text(
@@ -141,22 +146,15 @@ def run_tier1(mutant: Mutant | None) -> tuple[bool, str, float]:
     return proc.returncode == 0, failed.group(1) if failed else "", time.perf_counter() - started
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", action="store_true", help="only check that every edit applies")
-    parser.add_argument("--only", default="", help="run the mutants whose name contains this")
-    args = parser.parse_args(argv)
-
+def main() -> int:
     faults = check_table()
     for fault in faults:
         print(f"error: {fault}", file=sys.stderr)
     if faults:
         return 1
-    if args.check:
-        print(f"all {len(MUTANTS)} edits apply exactly once")
-        return 0
 
-    passed, failed, seconds = run_tier1(None)
+    files = tracked_files()
+    passed, failed, seconds = run_tier1(None, files)
     if not passed:
         print(f"error: tier-1 fails on the unmutated tree ({failed}); no mutant can be judged",
               file=sys.stderr)
@@ -165,8 +163,8 @@ def main(argv=None) -> int:
     print("| mutant | file | result | first failing test file | s |")
     print("|---|---|---|---|---|")
     wrong = 0
-    for m in (m for m in MUTANTS if args.only in m.name):
-        passed, failed, seconds = run_tier1(m)
+    for m in MUTANTS:
+        passed, failed, seconds = run_tier1(m, files)
         result = "survived" if passed else "killed"
         if m.equivalent:
             result += f" (equivalent: {m.equivalent})"

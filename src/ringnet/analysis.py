@@ -31,7 +31,7 @@ def check_thresholds(field: str, value) -> tuple:
     """Return (low, high) as floats, 0 < low <= high; else raise ScenarioError on ``field``."""
     low, high = float(value[0]), float(value[1])
     if not 0.0 < low <= high:
-        raise ScenarioError(field, f"must satisfy 0 < low <= high, got {(low, high)}")
+        raise ScenarioError(field, f"must satisfy 0 < low <= high, got low {low}, high {high}")
     return low, high
 
 

@@ -364,6 +364,8 @@ def test_threshold_and_floor_validation():
     with pytest.raises(ConfigError) as err:
         parse_config({**minimal(), "thresholds": [1.5, 0.5]})
     assert err.value.key == "thresholds"
+    # numbers as JSON would write them, not a Python tuple
+    assert err.value.message == "must satisfy 0 < low <= high, got low 1.5, high 0.5"
     with pytest.raises(ConfigError):
         parse_config({**minimal(), "fit_floor": 1.0})
     # equal thresholds leave no ambiguous band, which the rule allows
