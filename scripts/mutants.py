@@ -76,6 +76,41 @@ MUTANTS = [
            "shift = 0  # the whole ring needs no frame", "pass",
            equivalent="the state is scattered back to ring order at every step, so a frame "
            "kept once the cone covers the ring gives the same values, only slower"),
+    # the real motif and compose's column blocks
+    Mutant("motif-entry-sign-flipped", "src/ringnet/network.py",
+           "block = np.array([[-ct * sp, ct * cp", "block = np.array([[ct * sp, ct * cp"),
+    Mutant("motif-columns-shifted", "src/ringnet/network.py",
+           "(starts + np.arange(-1, 3)) % n", "(starts + np.arange(0, 4)) % n"),
+    Mutant("motif-held-in-complex-buffer", "src/ringnet/network.py",
+           "    return m\n", "    return m.astype(np.complex128).real\n"),
+    Mutant("cone-motif-transposed", "src/ringnet/network.py",
+           "y = (u[out_lo:out_hi, lo:hi] @", "y = (u.T[out_lo:out_hi, lo:hi] @"),
+    Mutant("compose-block-from-stream-one", "src/ringnet/network.py",
+           "[RngStream(scenario.seed, 0)])\n        # identity columns",
+           "[RngStream(scenario.seed, 1)])\n        # identity columns"),
+    Mutant("compose-block-keeps-first-state", "src/ringnet/network.py",
+           "pass  # keep only the last state", "break  # keep only the last state"),
+    Mutant("compose-frozen-layer-on-the-left", "src/ringnet/network.py",
+           "else u * fixed", "else fixed.T * u"),
+    Mutant("phase-strength-halved", "src/ringnet/network.py",
+           "return alpha * np.array(", "return alpha / 2 * np.array("),
+    # statistics, fits and the spectral path
+    Mutant("variance-mean-dropped", "src/ringnet/simulate.py",
+           "return float(p @ d**2) - mean**2", "return float(p @ d**2)"),
+    Mutant("displacement-off-by-one", "src/ringnet/simulate.py",
+           "(modes - input_index + half)", "(modes - input_index + half - 1)"),
+    Mutant("gaussian-fit-on-distance", "src/ringnet/analysis.py",
+           "gaussian = _least_squares(d**2, y)", "gaussian = _least_squares(d, y)"),
+    Mutant("band-distance-short", "src/ringnet/analysis.py",
+           "ring = np.minimum(sep, n - sep)", "ring = np.minimum(sep, n - sep - 1)"),
+    Mutant("eigenvector-ipr-squared", "src/ringnet/analysis.py",
+           "np.abs(eigenvectors) ** 4", "np.abs(eigenvectors) ** 2"),
+    Mutant("log-sign-flipped", "src/ringnet/linalg.py",
+           "h = (v * phases) @", "h = (v * -phases) @"),
+    Mutant("unitarity-tol-loosened", "src/ringnet/linalg.py",
+           "UNITARITY_TOL = 1e-8", "UNITARITY_TOL = 1e-4"),
+    Mutant("default-input-port-shifted", "src/ringnet/config.py",
+           'data.pop("input_port", n_couplers)', 'data.pop("input_port", n_couplers + 1)'),
     # run-level rules, each held by one owner that config calls through _library
     Mutant("thresholds-equal-refused", "src/ringnet/analysis.py",
            "if not 0.0 < low <= high:", "if not 0.0 < low < high:"),
@@ -89,6 +124,10 @@ MUTANTS = [
            "1 <= input_port <= 2 * n_couplers", "1 <= input_port < 2 * n_couplers"),
     Mutant("library-key-loses-block", "src/ringnet/config.py",
            'f"{block}.{exc.field}" if exc.field', "exc.field if exc.field"),
+    Mutant("thresholds-extra-bounds-allowed", "src/ringnet/analysis.py",
+           "if len(value) != 2:", "if len(value) < 2:"),
+    Mutant("ensemble-depths-end-unchecked", "src/ringnet/simulate.py",
+           "if depths[-1] != scenario.depth:", "if depths[-1] > scenario.depth:"),
     Mutant("container-named-by-python", "src/ringnet/config.py",
            "got = JSON_TYPES.get(type(value), type(value).__name__)",
            "got = type(value).__name__"),

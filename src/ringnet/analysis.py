@@ -28,7 +28,10 @@ DEFAULT_FIT_FLOOR = 1e-12
 
 
 def check_thresholds(field: str, value) -> tuple:
-    """Return (low, high) as floats, 0 < low <= high; else raise ScenarioError on ``field``."""
+    """Return two bounds (low, high) as floats, 0 < low <= high; else raise
+    ScenarioError on ``field``."""
+    if len(value) != 2:
+        raise ScenarioError(field, f"expected two ratio bounds, got {len(value)}")
     low, high = float(value[0]), float(value[1])
     if not 0.0 < low <= high:
         raise ScenarioError(field, f"must satisfy 0 < low <= high, got low {low}, high {high}")

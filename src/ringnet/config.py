@@ -215,8 +215,6 @@ def parse_config(data, seed_override=None, runs_override=None) -> RunConfig:
     fit_floor = _library(check_fit_floor, "fit_floor", fit_floor)
 
     thresholds = _expect(data.pop("thresholds", list(DEFAULT_THRESHOLDS)), list, "thresholds")
-    if len(thresholds) != 2:
-        raise ConfigError("thresholds", f"expected two ratio bounds, got {len(thresholds)}")
     thresholds = [_number(t, f"thresholds[{i}]") for i, t in enumerate(thresholds)]
     thresholds = _library(check_thresholds, "thresholds", thresholds)
 

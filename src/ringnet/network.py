@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 import numbers
 from dataclasses import dataclass
 
@@ -92,15 +91,16 @@ def build_motif(params: MotifParams) -> np.ndarray:
 
     B rotates the pairs that start at mode 1 by phi, its last pair (2N-1, 0)
     closing the ring; A then rotates the pairs (0,1), (2,3), ... by theta, each
-    coupler [[c, s], [-s, c]]. Rows 2j and 2j+1 of the product are nonzero only
-    in columns 2j-1 ... 2j+2 (mod 2N), four entries each, written in O(N).
+    coupler [[c, s], [-s, c]], so the product is a real orthogonal float64
+    matrix. Rows 2j and 2j+1 are nonzero only in columns 2j-1 ... 2j+2
+    (mod 2N), four entries each, written in O(N).
     """
     n = params.n_modes
     ct, st = np.cos(params.theta), np.sin(params.theta)
     cp, sp = np.cos(params.phi), np.sin(params.phi)
     block = np.array([[-ct * sp, ct * cp, st * cp, st * sp],
                       [st * sp, -st * cp, ct * cp, ct * sp]])
-    m = np.zeros((n, n), dtype=np.complex128)
+    m = np.zeros((n, n))
     m.reshape(-1)[_band_index(n)] = block
     return m
 
@@ -305,9 +305,8 @@ def advance(u: np.ndarray, layers, x: np.ndarray):
     slice that grows by two modes per side until it covers the ring: from a
     single mode, W_m = min(4m, 2N) rows after step m. A step computes the
     phase factors of the cone's rows alone and multiplies them by the
-    ur[out, in] view of the motif's real part (the couplers are real
-    rotations, so u's imaginary part is exactly zero): one real GEMM on the
-    (W, 2k) real view, O(k W_m^2). Rows outside the cone are exact zeros.
+    u[out, in] view of the real motif: one real GEMM on the (W, 2k) real
+    view, O(k W_m^2). Rows outside the cone are exact zeros.
 
     A between-layer's angles are added to the next step's internal ones, so
     a fresh kind takes one cos and sin per reached mode and step. A yielded
@@ -315,7 +314,6 @@ def advance(u: np.ndarray, layers, x: np.ndarray):
     the last state, with none pending, is exact. Each yielded state is a
     fresh array."""
     n, k = x.shape
-    ur = np.ascontiguousarray(u.real)
     x = np.ascontiguousarray(x)
     seeds = np.flatnonzero(np.any(x != 0, axis=1))
     lo, hi = int(seeds[0]), int(seeds[-1]) + 1
@@ -333,7 +331,7 @@ def advance(u: np.ndarray, layers, x: np.ndarray):
         out_lo, out_hi = 2 * ((lo + 1) // 2) - 2, 2 * (hi // 2) + 2
         if out_lo < 0 or out_hi > n:
             out_lo, out_hi = 0, n
-        y = (ur[out_lo:out_hi, lo:hi] @ x.view(np.float64)).view(np.complex128)
+        y = (u[out_lo:out_hi, lo:hi] @ x.view(np.float64)).view(np.complex128)
         if out_hi - out_lo < n or shift:
             x = np.zeros((n, k), dtype=np.complex128)
             x[_modes(out_lo, out_hi, shift, n)] = y
@@ -358,13 +356,13 @@ def compose(scenario: Scenario) -> np.ndarray:
     pure and fixed-disorder repeat one step, so its depth-th power is taken by
     squaring, O(N^3 log depth), raising NonUnitaryError if it overflows. The
     kinds with fresh layers push the identity's columns through ``advance``
-    in blocks of COLUMN_BLOCK, all blocks sharing each step's draws, and
-    return the last states as they are. A block of w columns grows its own
+    in blocks of COLUMN_BLOCK, each block drawing stream 0 afresh, and keep
+    each block's last state as it is. A block of w columns grows its own
     light cone, W_m = min(w + 4m, 2N) rows at step m, so it costs
     O(w W_m^2) per step, and O(N^3 depth) once the cones cover the ring.
     """
-    u, layers = scenario_layers(scenario, [RngStream(scenario.seed, 0)])
     if not scenario.kind.fresh:
+        u, layers = scenario_layers(scenario, [RngStream(scenario.seed, 0)])
         fixed, _, _ = next(layers)
         step = u if fixed is None else u * fixed
         with np.errstate(over="ignore", invalid="ignore"):
@@ -373,16 +371,15 @@ def compose(scenario: Scenario) -> np.ndarray:
             raise NonUnitaryError(f"the step's power at depth {scenario.depth} overflowed")
         return w
     n = scenario.n_modes
-    starts = range(0, n, COLUMN_BLOCK)
-    # identity columns a ... a+COLUMN_BLOCK-1, made as each block starts
-    blocks = (np.eye(n, min(COLUMN_BLOCK, n - a), -a, dtype=np.complex128) for a in starts)
-    # the blocks step in lockstep, so tee holds one step's layers at a time,
-    # and share one real motif, which advance then takes as it is
-    shared = itertools.tee(layers, len(starts))
-    run_block = functools.partial(advance, np.ascontiguousarray(u.real))
-    for states in zip(*map(run_block, shared, blocks)):
-        pass  # keep only the last states: collecting them would hold depth matrices
-    return np.hstack(states)
+    w = np.empty((n, n), dtype=np.complex128)
+    for a in range(0, n, COLUMN_BLOCK):
+        u, layers = scenario_layers(scenario, [RngStream(scenario.seed, 0)])
+        # identity columns a ... a+COLUMN_BLOCK-1
+        block = np.eye(n, min(COLUMN_BLOCK, n - a), -a, dtype=np.complex128)
+        for x in advance(u, layers, block):
+            pass  # keep only the last state: collecting them would hold depth matrices
+        w[:, a:a + x.shape[1]] = x
+    return w
 
 
 def disordered_motif(scenario: Scenario) -> np.ndarray:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import UNITARITY_TOL, NonUnitaryError, as_matrix, unitarity_defect
-from .network import RngStream, Scenario, ScenarioKind, advance, check_depths, check_integer
-from .network import scenario_layers
+from .network import RngStream, Scenario, ScenarioError, ScenarioKind, advance, check_depths
+from .network import check_integer, scenario_layers
 from .network import scenario_step_factors  # noqa: F401  (patched by perfbench's tracer)
 
 SUM_TOL = 1e-12
@@ -171,9 +171,9 @@ def run_ensemble(scenario: Scenario, input_index: int, depths, runs: int) -> Ens
     ensemble costs at most O(runs * depth * N^2). Results differ from the
     full-ring path by round-off only. runs, input_index and depths are
     integers held by ``network.check_integer``; depths must be nonempty and
-    strictly increasing (``network.check_depths``) with the last entry equal to
-    scenario.depth, so every snapshot falls inside a single pass through the
-    steps; each column's distribution is checked for its norm there.
+    strictly increasing (``network.check_depths``) and end at scenario.depth,
+    each rule a ScenarioError, so every snapshot falls inside a single pass
+    through the steps; each column's distribution is checked for its norm there.
     Realization r draws from stream r of scenario.seed and chunks accumulate
     in ascending order, so a run repeats bit for bit; a realization's last
     bits depend on its column in the chunk.
@@ -182,7 +182,7 @@ def run_ensemble(scenario: Scenario, input_index: int, depths, runs: int) -> Ens
     """
     depths = check_depths(depths)
     if depths[-1] != scenario.depth:
-        raise ValueError(f"depths must end at depth {scenario.depth}, got {depths}")
+        raise ScenarioError("depths", f"must end at depth {scenario.depth}, got {depths}")
     runs = check_integer("runs", runs, 1)
     n = scenario.n_modes
     input_index = check_integer("input_index", input_index, 0, n)

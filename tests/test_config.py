@@ -124,6 +124,9 @@ FLAT = Distribution(np.full(10, 0.1), 0)
     [
         ({"thresholds": [1.5, 0.5]}, lambda: classify(FLAT, (1.5, 0.5)), "thresholds", None),
         ({"thresholds": [0, 1]}, lambda: classify(FLAT, (0, 1)), "thresholds", None),
+        ({"thresholds": [0.8, 1.25, 5]}, lambda: classify(FLAT, (0.8, 1.25, 5)), "thresholds",
+         None),
+        ({"thresholds": [0.8]}, lambda: classify(FLAT, (0.8,)), "thresholds", None),
         ({"fit_floor": 1}, lambda: classify(FLAT, floor=1), "fit_floor", "floor"),
         ({"fit_floor": -0.1}, lambda: classify(FLAT, floor=-0.1), "fit_floor", "floor"),
         ({"depths": []}, lambda: check_depths([]), "depths", None),
@@ -132,8 +135,9 @@ FLAT = Distribution(np.full(10, 0.1), 0)
         ({"runs": 0}, lambda: run_ensemble(PURE, 0, (8,), 0), "runs", None),
     ],
     ids=[
-        "thresholds-order", "thresholds-zero", "floor-one", "floor-negative",
-        "depths-empty", "ensemble-depths-empty", "depth-zero", "runs-zero",
+        "thresholds-order", "thresholds-zero", "thresholds-three", "thresholds-one",
+        "floor-one", "floor-negative", "depths-empty", "ensemble-depths-empty", "depth-zero",
+        "runs-zero",
     ],
 )
 def test_run_level_rules_give_one_text_in_config_and_library(entry, library, key, field):

@@ -116,17 +116,18 @@ def test_motif_is_exactly_the_product_of_its_sublayers(n_couplers, theta, phi):
     assert np.array_equal(got, want)
 
 
-# advance multiplies states by the motif's real part alone, so the motif must
-# be real exactly, not to round-off, at any finite angles
+# the couplers are real rotations, so the motif is a float64 matrix at any
+# finite angles, which advance multiplies into the states' real view as it is
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(min_value=2, max_value=50),
     st.floats(allow_nan=False, allow_infinity=False),
     st.floats(allow_nan=False, allow_infinity=False),
 )
-def test_motif_imaginary_part_is_exactly_zero(n_couplers, theta, phi):
+def test_motif_is_a_float64_matrix(n_couplers, theta, phi):
     u = build_motif(MotifParams(n_couplers=n_couplers, theta=theta, phi=phi))
-    assert not u.imag.any()
+    assert u.dtype == np.float64
+    assert u.shape == (2 * n_couplers, 2 * n_couplers)
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import ringnet.network
@@ -16,6 +16,7 @@ from ringnet.network import (
     MotifParams,
     RngStream,
     Scenario,
+    ScenarioError,
     build_motif,
     build_phase_layer,
     compose,
@@ -208,7 +209,8 @@ def ensemble_scenario(depth=10, seed=0, alpha=TWO_PI, kind="fully-random"):
     return Scenario(kind=kind, motif=balanced(10), depth=depth, seed=seed, **alphas)
 
 
-@settings(max_examples=100, deadline=None)
+# no shrink phase: a failure is reported as found, not after seconds of shrinking
+@settings(max_examples=100, deadline=None, phases=[p for p in Phase if p is not Phase.shrink])
 @given(
     st.sampled_from(["pure", "fully-random", "fixed-disorder", "intermediate"]),
     st.integers(min_value=2, max_value=6),
@@ -506,6 +508,28 @@ def test_ensemble_peak_memory_does_not_grow_with_runs():
     finally:
         gc.enable()
     assert large <= 1.25 * small, (small, large)
+
+
+def test_ensemble_peak_memory_holds_real_motifs():
+    # the N=512 motif is 1024 x 1024, 8 MiB as float64; two runs hold two of
+    # them at once, while complex ones (16 MiB each) put the peak past 2.5 of those
+    n = 512
+    sc = Scenario(kind="fully-random", motif=balanced(n), depth=1, seed=0, alpha_layer=1.0)
+    tracemalloc.start()
+    try:
+        run_ensemble(sc, n, depths=(1,), runs=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 8 * (2 * n) ** 2, peak
+
+
+def test_ensemble_depths_must_end_at_the_scenario_depth():
+    sc = ensemble_scenario(depth=8)
+    with pytest.raises(ScenarioError) as err:
+        run_ensemble(sc, 9, depths=(2, 4), runs=2)
+    assert err.value.field == "depths"
+    assert err.value.message == "must end at depth 8, got (2, 4)"
 
 
 @pytest.mark.parametrize("depths", [(2.5, 8), (4, 8.0), (4, np.float64(8)), ("4", 8)])
