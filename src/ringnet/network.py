@@ -284,35 +284,29 @@ def scenario_step_factors(scenario: Scenario, rng: RngStream):
         yield step if after is None else _cis(after).T * step
 
 
-def _modes(lo: int, hi: int, shift: int, n: int):
-    """Ring modes of rows lo ... hi-1 of a frame rolled by ``shift``: a slice
-    where they do not run past mode n-1, else an index array."""
-    start = (lo + shift) % n
-    if start + hi - lo <= n:
-        return slice(start, start + hi - lo)
-    return np.arange(start, start + hi - lo) % n
-
-
-def advance(u: np.ndarray, layers, x: np.ndarray):
-    """Yield the (2N, k) column states after each step of ``layers``, as
-    ``scenario_layers`` yields them with (k, 2N) or (1, 2N) rows, starting
-    from the columns of x, and touch only the modes they can have reached.
+def advance(scenario: Scenario, rngs, x: np.ndarray):
+    """Yield the (2N, k) column states after each step of ``scenario``, from
+    the columns of x, each column r drawing its layers from rngs[r] (all from
+    rngs[0] if it is the only stream) through ``scenario_layers``.
 
     Each sublayer moves amplitude by at most one mode, so a step reaches one
     pair further out on each side of the rows it takes. The state is held
     in a frame rolled by an even number of modes, which leaves the motif as
-    it is, with x's nonzero rows in the middle, so this light cone stays one
-    slice that grows by two modes per side until it covers the ring: from a
-    single mode, W_m = min(4m, 2N) rows after step m. A step computes the
-    phase factors of the cone's rows alone and multiplies them by the
-    u[out, in] view of the real motif: one real GEMM on the (W, 2k) real
-    view, O(k W_m^2). Rows outside the cone are exact zeros.
+    it is, with x's nonzero rows in the middle: frame row i is ring mode
+    ring[i]. This light cone stays one run of frame rows that grows by two
+    modes per side until it covers the ring: from a single mode,
+    W_m = min(4m, 2N) rows after step m. A step computes the phase factors
+    of the cone's rows alone and multiplies them by the u[out, in] view of
+    the real motif: one real GEMM on the (W, 2k) real view, O(k W_m^2),
+    written into a complex state, so a complex motif fails at once. Rows
+    outside the cone are exact zeros.
 
     A between-layer's angles are added to the next step's internal ones, so
     a fresh kind takes one cos and sin per reached mode and step. A yielded
     state thus lacks the phases still pending, which no probability sees;
     the last state, with none pending, is exact. Each yielded state is a
     fresh array."""
+    u, layers = scenario_layers(scenario, rngs)
     n, k = x.shape
     x = np.ascontiguousarray(x)
     seeds = np.flatnonzero(np.any(x != 0, axis=1))
@@ -321,9 +315,10 @@ def advance(u: np.ndarray, layers, x: np.ndarray):
     shift = lo - (n - (hi - lo)) // 2
     shift -= shift % 2
     lo, hi = lo - shift, hi - shift
+    ring = (np.arange(n) + shift) % n
     pending = None
     for fixed, before, after in layers:
-        rows = _modes(lo, hi, shift, n)
+        rows = ring[lo:hi]
         turns = [a[:, rows] for a in (before, pending) if a is not None]
         phase = _phase(None if fixed is None else fixed[:, rows],
                        functools.reduce(np.add, turns) if turns else None)
@@ -331,15 +326,16 @@ def advance(u: np.ndarray, layers, x: np.ndarray):
         out_lo, out_hi = 2 * ((lo + 1) // 2) - 2, 2 * (hi // 2) + 2
         if out_lo < 0 or out_hi > n:
             out_lo, out_hi = 0, n
-        y = (u[out_lo:out_hi, lo:hi] @ x.view(np.float64)).view(np.complex128)
+        y = np.empty((out_hi - out_lo, k), dtype=np.complex128)
+        np.matmul(u[out_lo:out_hi, lo:hi], x.view(np.float64), out=y.view(np.float64))
         if out_hi - out_lo < n or shift:
             x = np.zeros((n, k), dtype=np.complex128)
-            x[_modes(out_lo, out_hi, shift, n)] = y
+            x[ring[out_lo:out_hi]] = y
         else:
             x = y
         lo, hi, pending = out_lo, out_hi, after
         if hi - lo == n:
-            shift = 0  # the whole ring needs no frame
+            shift, ring = 0, np.arange(n)  # the whole ring needs no frame
         yield x
 
 
@@ -356,8 +352,8 @@ def compose(scenario: Scenario) -> np.ndarray:
     pure and fixed-disorder repeat one step, so its depth-th power is taken by
     squaring, O(N^3 log depth), raising NonUnitaryError if it overflows. The
     kinds with fresh layers push the identity's columns through ``advance``
-    in blocks of COLUMN_BLOCK, each block drawing stream 0 afresh, and keep
-    each block's last state as it is. A block of w columns grows its own
+    in blocks of COLUMN_BLOCK, each handed a fresh stream 0 to draw from, and
+    keep each block's last state as it is. A block of w columns grows its own
     light cone, W_m = min(w + 4m, 2N) rows at step m, so it costs
     O(w W_m^2) per step, and O(N^3 depth) once the cones cover the ring.
     """
@@ -373,10 +369,9 @@ def compose(scenario: Scenario) -> np.ndarray:
     n = scenario.n_modes
     w = np.empty((n, n), dtype=np.complex128)
     for a in range(0, n, COLUMN_BLOCK):
-        u, layers = scenario_layers(scenario, [RngStream(scenario.seed, 0)])
         # identity columns a ... a+COLUMN_BLOCK-1
         block = np.eye(n, min(COLUMN_BLOCK, n - a), -a, dtype=np.complex128)
-        for x in advance(u, layers, block):
+        for x in advance(scenario, [RngStream(scenario.seed, 0)], block):
             pass  # keep only the last state: collecting them would hold depth matrices
         w[:, a:a + x.shape[1]] = x
     return w

@@ -17,7 +17,7 @@ import numpy as np
 
 from .linalg import UNITARITY_TOL, NonUnitaryError, as_matrix, unitarity_defect
 from .network import RngStream, Scenario, ScenarioError, ScenarioKind, advance, check_depths
-from .network import check_integer, scenario_layers
+from .network import check_integer
 from .network import scenario_step_factors  # noqa: F401  (patched by perfbench's tracer)
 
 SUM_TOL = 1e-12
@@ -164,13 +164,13 @@ def run_ensemble(scenario: Scenario, input_index: int, depths, runs: int) -> Ens
 
     Realizations go in ascending chunks of CHUNK, each chunk one (2N, k) state
     whose column r is realization r's unit state on input_index. ``advance``
-    steps only the light cone of input_index, W_m = min(4m, 2N) modes after
-    step m (at most 1 + 4m): it takes the phase factors of those modes
-    alone, one cos and sin per reached mode for the fresh kinds, and one
-    real O(k W_m^2) product with the chunk's shared motif per step, so an
-    ensemble costs at most O(runs * depth * N^2). Results differ from the
-    full-ring path by round-off only. runs, input_index and depths are
-    integers held by ``network.check_integer``; depths must be nonempty and
+    draws the layers from the chunk's streams itself and steps only the light
+    cone of input_index, W_m = min(4m, 2N) modes after step m (at most
+    1 + 4m): it takes the phase factors of those modes alone, one cos and sin
+    per reached mode for the fresh kinds, and one real O(k W_m^2) product
+    with the chunk's shared motif per step, so an ensemble costs at most
+    O(runs * depth * N^2). runs, input_index and depths are integers held by
+    ``network.check_integer``; depths must be nonempty and
     strictly increasing (``network.check_depths``) and end at scenario.depth,
     each rule a ScenarioError, so every snapshot falls inside a single pass
     through the steps; each column's distribution is checked for its norm there.
@@ -192,10 +192,9 @@ def run_ensemble(scenario: Scenario, input_index: int, depths, runs: int) -> Ens
     ipr_sums = {d: 0.0 for d in depths}
     for lo in range(0, runs, CHUNK):
         rngs = [RngStream(scenario.seed, r) for r in range(lo, min(lo + CHUNK, runs))]
-        u, layers = scenario_layers(scenario, rngs)
         start = np.zeros((n, len(rngs)), dtype=np.complex128)
         start[input_index] = 1.0
-        for step, x in enumerate(advance(u, layers, start), start=1):
+        for step, x in enumerate(advance(scenario, rngs, start), start=1):
             if step in sums:
                 # row r of p is column r's distribution
                 p = np.array([output_distribution(col, input_index) for col in x.T])

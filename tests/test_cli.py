@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import ringnet.cli
-import ringnet.simulate
+import ringnet.network
 from ringnet.analysis import InsufficientSupportError, classify, eigenvector_localization
 from ringnet.cli import distribution_csv, main, render_json
 from ringnet.config import load_config, parse_config
@@ -526,13 +526,13 @@ def test_exit_2_on_numerical_failure(tmp_path, capsys):
 
 
 def test_exit_2_on_non_unitary_step_factors(tmp_path, monkeypatch, capsys):
-    real_layers = ringnet.simulate.scenario_layers
+    real_layers = ringnet.network.scenario_layers
 
     def inflated_step(*args, **kwargs):
         u, layers = real_layers(*args, **kwargs)
         return 1.001 * u, layers
 
-    monkeypatch.setattr(ringnet.simulate, "scenario_layers", inflated_step)
+    monkeypatch.setattr(ringnet.network, "scenario_layers", inflated_step)
     motif = MotifParams(n_couplers=4, theta=np.pi / 4, phi=np.pi / 4)
     sc = Scenario(kind="pure", motif=motif, depth=3, seed=0)
     with pytest.raises(NonUnitaryError):

@@ -24,13 +24,17 @@ RUNS = 1000
 N_COUPLERS = 20
 PORT = 19
 DEPTHS = (2, 5, 10)
+# ports 1 and 2N start the light cone in a frame rolled by 20 modes (port 20's is
+# not rolled), and depth 14 runs past the wrap, where the cone has covered the ring
+SEAM_PORTS = (0, 2 * N_COUPLERS - 1)
+SEAM_DEPTHS = (2, 5, 10, 14)
 
 
-def scenario(alpha, internal, theta=math.pi / 4, phi=math.pi / 4):
+def scenario(alpha, internal, theta=math.pi / 4, phi=math.pi / 4, depth=DEPTHS[-1]):
     return Scenario(
         kind="fully-random",
         motif=MotifParams(n_couplers=N_COUPLERS, theta=theta, phi=phi),
-        depth=DEPTHS[-1],
+        depth=depth,
         seed=0,
         alpha_layer=alpha,
         motif_internal_phases=internal,
@@ -48,16 +52,29 @@ STRENGTHS = pytest.mark.parametrize("alpha", [TWO_PI, math.pi, 0.3])
 INTERNAL = pytest.mark.parametrize("internal", [True, False])
 
 
-@STRENGTHS
-@INTERNAL
-def test_ensemble_mean_is_within_the_z_bound_of_the_exact_mean(alpha, internal):
-    exact, samples = both_sides(alpha, internal)
+def assert_within_z_bound(exact, samples):
     for sample in samples:
         p_bar = exact[sample.depth]
         assert abs(p_bar.sum() - 1.0) < 1e-13
         sigma = np.sqrt(p_bar * (1.0 - p_bar) / RUNS)
         z_excess = np.abs(sample.distribution.probabilities - p_bar) - Z_BOUND * sigma
         assert z_excess.max() <= 0.0, (sample.depth, z_excess.argmax())
+
+
+@STRENGTHS
+@INTERNAL
+def test_ensemble_mean_is_within_the_z_bound_of_the_exact_mean(alpha, internal):
+    assert_within_z_bound(*both_sides(alpha, internal))
+
+
+@STRENGTHS
+@INTERNAL
+@pytest.mark.parametrize("port", SEAM_PORTS)
+def test_seam_ports_past_the_wrap_are_within_the_z_bound(port, alpha, internal):
+    sc = scenario(alpha, internal, depth=SEAM_DEPTHS[-1])
+    samples = run_ensemble(sc, port, SEAM_DEPTHS, RUNS).samples
+    assert [s.depth for s in samples] == list(SEAM_DEPTHS)
+    assert_within_z_bound(exact_mean(sc, port, SEAM_DEPTHS), samples)
 
 
 @STRENGTHS

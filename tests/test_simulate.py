@@ -202,6 +202,10 @@ def test_trailing_phase_layer_leaves_probabilities_alone():
 # ------------------------------------------------------------------ ensembles
 
 
+# no shrink phase: a failure is reported as found, not after seconds of shrinking
+NO_SHRINK = [p for p in Phase if p is not Phase.shrink]
+
+
 def ensemble_scenario(depth=10, seed=0, alpha=TWO_PI, kind="fully-random"):
     alphas = (
         {"alpha_layer": alpha} if kind == "fully-random" else {"alpha_fixed": alpha}
@@ -209,8 +213,7 @@ def ensemble_scenario(depth=10, seed=0, alpha=TWO_PI, kind="fully-random"):
     return Scenario(kind=kind, motif=balanced(10), depth=depth, seed=seed, **alphas)
 
 
-# no shrink phase: a failure is reported as found, not after seconds of shrinking
-@settings(max_examples=100, deadline=None, phases=[p for p in Phase if p is not Phase.shrink])
+@settings(max_examples=100, deadline=None, phases=NO_SHRINK)
 @given(
     st.sampled_from(["pure", "fully-random", "fixed-disorder", "intermediate"]),
     st.integers(min_value=2, max_value=6),
@@ -340,7 +343,7 @@ def run_in_chunks(chunk, sc, port, runs):
 
 # a realization's last bits depend on its row in the chunk's product with u,
 # so splits are held to round-off, not to bytes
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, phases=NO_SHRINK)
 @given(
     st.sampled_from(KINDS),
     st.integers(min_value=2, max_value=6),
@@ -424,14 +427,14 @@ def test_ensemble_is_deterministic():
 def test_pure_is_propagated_once_whatever_runs_says(monkeypatch):
     sc = Scenario(kind="pure", motif=balanced(10), depth=8, seed=3)
     once = run_ensemble(sc, 9, depths=(4, 8), runs=1)
-    real_layers = ringnet.simulate.scenario_layers
+    real_layers = ringnet.network.scenario_layers
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real_layers(*args, **kwargs)
 
-    monkeypatch.setattr(ringnet.simulate, "scenario_layers", counted)
+    monkeypatch.setattr(ringnet.network, "scenario_layers", counted)
     many = run_ensemble(sc, 9, depths=(4, 8), runs=50)
     assert len(calls) == 1
     for a, b in zip(once.samples, many.samples, strict=True):
