@@ -62,43 +62,37 @@ MUTANTS = [
     Mutant("before-conjugated", "src/ringnet/network.py",
            "yield fixed, before if internal", "yield fixed, -before if internal"),
     Mutant("cosine-gap-zero", "src/ringnet/linalg.py", "COSINE_GAP = 1e-3", "COSINE_GAP = 0.0"),
-    # the light cone of network.advance
-    Mutant("cone-short-left", "src/ringnet/network.py",
-           "2 * ((lo + 1) // 2) - 2,", "2 * ((lo + 1) // 2) - 1,"),
-    Mutant("cone-short-right", "src/ringnet/network.py",
-           "2 * (hi // 2) + 2", "2 * (hi // 2) + 1"),
-    Mutant("cone-frame-shift-odd", "src/ringnet/network.py", "    shift -= shift % 2\n", ""),
-    Mutant("cone-pending-angles-dropped", "src/ringnet/network.py",
+    # the band step of network.advance on its ring buffer
+    Mutant("band-ghost-rows-swapped", "src/ringnet/network.py",
+           "padded[0], padded[-1] = padded[-2], padded[1]",
+           "padded[0], padded[-1] = padded[1], padded[-2]"),
+    Mutant("band-ghost-copy-deleted", "src/ringnet/network.py",
+           "        padded[0], padded[-1] = padded[-2], padded[1]\n", ""),
+    Mutant("band-taps-reversed", "src/ringnet/network.py",
+           "u[0:2, [n - 1, 0, 1, 2]]", "u[0:2, [2, 1, 0, n - 1]]"),
+    Mutant("band-window-step-one", "src/ringnet/network.py",
+           "4, axis=0)[::2]", "4, axis=0)[::1]"),
+    Mutant("reach-widened-by-one", "src/ringnet/network.py",
+           "lo, hi, pending = lo - 2, hi + 2, after", "lo, hi, pending = lo - 1, hi + 1, after"),
+    Mutant("reach-seam-gather-clipped", "src/ringnet/network.py",
+           "np.arange(lo, hi) % n", "slice(max(lo, 0), min(hi, n))"),
+    Mutant("pending-angles-dropped", "src/ringnet/network.py",
            "for a in (before, pending)", "for a in (before,)"),
-    Mutant("cone-ring-coverage-weakened", "src/ringnet/network.py",
-           "if out_hi - out_lo < n or shift:", "if out_hi - out_lo < n and shift:"),
-    Mutant("cone-frame-rolled-backwards", "src/ringnet/network.py",
-           "(np.arange(n) + shift)", "(np.arange(n) - shift)"),
-    Mutant("cone-frame-index-kept-on-full-ring", "src/ringnet/network.py",
-           "shift, ring = 0, np.arange(n)", "shift = 0"),
-    Mutant("cone-frame-kept-on-full-ring", "src/ringnet/network.py",
-           "shift, ring = 0, np.arange(n)  # the whole ring needs no frame", "pass",
-           equivalent="the state is scattered back to ring order at every step, so a frame "
-           "kept once the cone covers the ring only changes the order in which the GEMM sums "
-           "a row's terms: outputs move by round-off (at most 9e-16 at N = 3 and 100), "
-           "which tier-1 holds to tolerances, not to bytes, and the run is slower"),
-    # the real motif and compose's column blocks
+    # the real motif and compose's single pass
     Mutant("motif-entry-sign-flipped", "src/ringnet/network.py",
            "block = np.array([[-ct * sp, ct * cp", "block = np.array([[ct * sp, ct * cp"),
     Mutant("motif-columns-shifted", "src/ringnet/network.py",
            "(starts + np.arange(-1, 3)) % n", "(starts + np.arange(0, 4)) % n"),
     Mutant("motif-held-in-complex-buffer", "src/ringnet/network.py",
            "    return m\n", "    return m.astype(np.complex128).real\n"),
-    Mutant("cone-motif-transposed", "src/ringnet/network.py",
-           "np.matmul(u[out_lo:out_hi, lo:hi],", "np.matmul(u.T[out_lo:out_hi, lo:hi],"),
     Mutant("motif-complex", "src/ringnet/network.py",
            "    return m\n", "    return m.astype(np.complex128)\n"),
     Mutant("advance-layers-from-stream-zero", "src/ringnet/network.py",
            "scenario_layers(scenario, rngs)", "scenario_layers(scenario, rngs[:1])"),
-    Mutant("compose-block-from-stream-one", "src/ringnet/network.py",
-           "advance(scenario, [RngStream(scenario.seed, 0)], block)",
-           "advance(scenario, [RngStream(scenario.seed, 1)], block)"),
-    Mutant("compose-block-keeps-first-state", "src/ringnet/network.py",
+    Mutant("compose-from-stream-one", "src/ringnet/network.py",
+           "advance(scenario, [RngStream(scenario.seed, 0)], np.eye",
+           "advance(scenario, [RngStream(scenario.seed, 1)], np.eye"),
+    Mutant("compose-keeps-first-state", "src/ringnet/network.py",
            "pass  # keep only the last state", "break  # keep only the last state"),
     Mutant("compose-frozen-layer-on-the-left", "src/ringnet/network.py",
            "else u * fixed", "else fixed.T * u"),

@@ -289,17 +289,18 @@ def advance(scenario: Scenario, rngs, x: np.ndarray):
     the columns of x, each column r drawing its layers from rngs[r] (all from
     rngs[0] if it is the only stream) through ``scenario_layers``.
 
-    Each sublayer moves amplitude by at most one mode, so a step reaches one
-    pair further out on each side of the rows it takes. The state is held
-    in a frame rolled by an even number of modes, which leaves the motif as
-    it is, with x's nonzero rows in the middle: frame row i is ring mode
-    ring[i]. This light cone stays one run of frame rows that grows by two
-    modes per side until it covers the ring: from a single mode,
-    W_m = min(4m, 2N) rows after step m. A step computes the phase factors
-    of the cone's rows alone and multiplies them by the u[out, in] view of
-    the real motif: one real GEMM on the (W, 2k) real view, O(k W_m^2),
-    written into a complex state, so a complex motif fails at once. Rows
-    outside the cone are exact zeros.
+    Row pair j of the motif takes modes 2j-1 ... 2j+2 through one 2 x 4 block
+    b, the same for every j. The state is held in a ring buffer with a ghost
+    row on each side, modes -1 and 2N, copied from the opposite ends before
+    each step. A window view of its real part, four rows wide and two rows
+    apart, then holds every row pair's inputs, so a step is one batched
+    product with b, O(k N), written into the real view of a complex state:
+    a complex motif fails at once.
+
+    Each sublayer moves amplitude by at most one mode, so the modes reached
+    are x's nonzero rows widened by two per side each step: from a single
+    mode, min(1 + 4m, 2N) after step m. Phase factors are taken on those
+    modes only; the others are exact zeros whatever their phase.
 
     A between-layer's angles are added to the next step's internal ones, so
     a fresh kind takes one cos and sin per reached mode and step. A yielded
@@ -308,39 +309,33 @@ def advance(scenario: Scenario, rngs, x: np.ndarray):
     fresh array."""
     u, layers = scenario_layers(scenario, rngs)
     n, k = x.shape
-    x = np.ascontiguousarray(x)
+    b = u[0:2, [n - 1, 0, 1, 2]]
+    padded = np.zeros((n + 2, k), dtype=np.complex128)  # ghost modes -1 and 2N
+    state = padded[1:-1]
+    state[:] = x
+    windows = np.lib.stride_tricks.sliding_window_view(padded.view(np.float64), 4, axis=0)[::2]
     seeds = np.flatnonzero(np.any(x != 0, axis=1))
     lo, hi = int(seeds[0]), int(seeds[-1]) + 1
-    # an even shift that centres the seed rows: the motif repeats every pair
-    shift = lo - (n - (hi - lo)) // 2
-    shift -= shift % 2
-    lo, hi = lo - shift, hi - shift
-    ring = (np.arange(n) + shift) % n
     pending = None
     for fixed, before, after in layers:
-        rows = ring[lo:hi]
+        if hi - lo >= n:
+            rows = slice(0, n)
+        elif 0 <= lo and hi <= n:
+            rows = slice(lo, hi)
+        else:
+            rows = np.arange(lo, hi) % n  # the reach crosses the seam
         turns = [a[:, rows] for a in (before, pending) if a is not None]
         phase = _phase(None if fixed is None else fixed[:, rows],
                        functools.reduce(np.add, turns) if turns else None)
-        x = x[rows] if phase is None else x[rows] * phase.T
-        out_lo, out_hi = 2 * ((lo + 1) // 2) - 2, 2 * (hi // 2) + 2
-        if out_lo < 0 or out_hi > n:
-            out_lo, out_hi = 0, n
-        y = np.empty((out_hi - out_lo, k), dtype=np.complex128)
-        np.matmul(u[out_lo:out_hi, lo:hi], x.view(np.float64), out=y.view(np.float64))
-        if out_hi - out_lo < n or shift:
-            x = np.zeros((n, k), dtype=np.complex128)
-            x[ring[out_lo:out_hi]] = y
-        else:
-            x = y
-        lo, hi, pending = out_lo, out_hi, after
-        if hi - lo == n:
-            shift, ring = 0, np.arange(n)  # the whole ring needs no frame
-        yield x
-
-
-# identity columns advanced together by ``compose``, each block in its own light cone
-COLUMN_BLOCK = 40
+        if phase is not None:
+            state[rows] *= phase.T
+        padded[0], padded[-1] = padded[-2], padded[1]
+        y = np.empty((n, k), dtype=np.complex128)
+        pairs = y.view(np.float64).reshape(n // 2, 2, 2 * k)
+        np.matmul(windows, b.T, out=pairs.transpose(0, 2, 1))
+        state[:] = y
+        lo, hi, pending = lo - 2, hi + 2, after
+        yield y
 
 
 def compose(scenario: Scenario) -> np.ndarray:
@@ -351,11 +346,9 @@ def compose(scenario: Scenario) -> np.ndarray:
 
     pure and fixed-disorder repeat one step, so its depth-th power is taken by
     squaring, O(N^3 log depth), raising NonUnitaryError if it overflows. The
-    kinds with fresh layers push the identity's columns through ``advance``
-    in blocks of COLUMN_BLOCK, each handed a fresh stream 0 to draw from, and
-    keep each block's last state as it is. A block of w columns grows its own
-    light cone, W_m = min(w + 4m, 2N) rows at step m, so it costs
-    O(w W_m^2) per step, and O(N^3 depth) once the cones cover the ring.
+    kinds with fresh layers push the identity's 2N columns through one
+    ``advance`` and keep its last state, O(N^2) per step, holding the
+    identity, advance's ring buffer and two states at a time.
     """
     if not scenario.kind.fresh:
         u, layers = scenario_layers(scenario, [RngStream(scenario.seed, 0)])
@@ -366,14 +359,8 @@ def compose(scenario: Scenario) -> np.ndarray:
         if not np.isfinite(w).all():
             raise NonUnitaryError(f"the step's power at depth {scenario.depth} overflowed")
         return w
-    n = scenario.n_modes
-    w = np.empty((n, n), dtype=np.complex128)
-    for a in range(0, n, COLUMN_BLOCK):
-        # identity columns a ... a+COLUMN_BLOCK-1
-        block = np.eye(n, min(COLUMN_BLOCK, n - a), -a, dtype=np.complex128)
-        for x in advance(scenario, [RngStream(scenario.seed, 0)], block):
-            pass  # keep only the last state: collecting them would hold depth matrices
-        w[:, a:a + x.shape[1]] = x
+    for w in advance(scenario, [RngStream(scenario.seed, 0)], np.eye(scenario.n_modes)):
+        pass  # keep only the last state: collecting them would hold depth matrices
     return w
 
 

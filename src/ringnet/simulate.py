@@ -3,10 +3,10 @@
 States live on the 2N modes of a ring. ``propagate`` reads the output
 distribution of one excitation off a composed transfer matrix. Ensembles take
 their realizations CHUNK at a time as the columns of one (2N, k) state, each
-column starting as the input state, push the columns through the input's
-light cone with ``network.advance``, as ``compose`` does blocks of the
-identity's columns, and average the distributions over realizations at
-chosen snapshot depths.
+column starting as the input state, push the columns through the motif's
+band steps with ``network.advance``, as ``compose`` does the identity's
+columns, and average the distributions over realizations at chosen snapshot
+depths, O(runs * depth * N) in all.
 """
 
 from __future__ import annotations
@@ -164,19 +164,19 @@ def run_ensemble(scenario: Scenario, input_index: int, depths, runs: int) -> Ens
 
     Realizations go in ascending chunks of CHUNK, each chunk one (2N, k) state
     whose column r is realization r's unit state on input_index. ``advance``
-    draws the layers from the chunk's streams itself and steps only the light
-    cone of input_index, W_m = min(4m, 2N) modes after step m (at most
-    1 + 4m): it takes the phase factors of those modes alone, one cos and sin
-    per reached mode for the fresh kinds, and one real O(k W_m^2) product
-    with the chunk's shared motif per step, so an ensemble costs at most
-    O(runs * depth * N^2). runs, input_index and depths are integers held by
-    ``network.check_integer``; depths must be nonempty and
+    draws the layers from the chunk's streams itself and takes each step as
+    one O(k N) product of the motif's 2 x 4 band block with the ring, with
+    phase factors, one cos and sin each for the fresh kinds, only on the modes
+    reached from input_index (at most 1 + 4m after step m), so an ensemble
+    costs O(runs * depth * N). runs, input_index and depths are integers held
+    by ``network.check_integer``; depths must be nonempty and
     strictly increasing (``network.check_depths``) and end at scenario.depth,
     each rule a ScenarioError, so every snapshot falls inside a single pass
     through the steps; each column's distribution is checked for its norm there.
     Realization r draws from stream r of scenario.seed and chunks accumulate
-    in ascending order, so a run repeats bit for bit; a realization's last
-    bits depend on its column in the chunk.
+    in ascending order, so a run repeats bit for bit. A realization's bits do
+    not depend on its column in the chunk; a change of CHUNK regroups the
+    chunk sums and moves means by round-off.
     ``pure`` has no disorder: its one realization is propagated once,
     whatever ``runs`` says.
     """

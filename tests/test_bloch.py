@@ -1,13 +1,14 @@
 """The clean ring against its Bloch-wave solution (tests/bloch_reference.py).
 
-The referee shares no code with the package's motif assembly or light-cone
-propagation, and reaches any ring size and depth.
+The referee shares no code with the package's motif assembly, band step or
+spectral solver, and reaches any ring size and depth.
 """
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from ringnet.linalg import eig_unitary
 from ringnet.network import MotifParams, Scenario, build_motif
 from ringnet.simulate import run_ensemble
 
@@ -45,6 +46,25 @@ def test_motif_eigenphases_are_the_bloch_bands(n_couplers, theta, phi):
 
 
 @pytest.mark.parametrize("theta, phi", ANGLES)
+@pytest.mark.parametrize("n_couplers", [2, 3, 7, 20, 200])
+def test_eig_unitary_finds_the_bloch_bands(n_couplers, theta, phi):
+    # the clean motif's +-omega pairs are the clusters eig_unitary must split
+    motif = MotifParams(n_couplers=n_couplers, theta=theta, phi=phi)
+    eigenvalues, _ = eig_unitary(build_motif(motif))
+    assert circle_distance(np.angle(eigenvalues), bloch_eigenphases(motif)) < 1e-12
+
+
+def assert_pure_run_is_the_bloch_wave(motif, port, depths):
+    sc = Scenario(kind="pure", motif=motif, depth=depths[-1], seed=0)
+    res = run_ensemble(sc, port, depths, runs=1)
+    want = bloch_distributions(motif, port, depths)
+    for sample in res.samples:
+        np.testing.assert_allclose(
+            sample.distribution.probabilities, want[sample.depth], rtol=0, atol=1e-14
+        )
+
+
+@pytest.mark.parametrize("theta, phi", ANGLES)
 @pytest.mark.parametrize("seam", ["first", "last"])
 @pytest.mark.parametrize("n_couplers", RINGS)
 def test_pure_ensemble_is_the_bloch_wave(n_couplers, seam, theta, phi):
@@ -54,10 +74,11 @@ def test_pure_ensemble_is_the_bloch_wave(n_couplers, seam, theta, phi):
     depths = sorted({1, 2, depth // 2, n_modes // 4, depth})
     port = 0 if seam == "first" else n_modes - 1
     motif = MotifParams(n_couplers=n_couplers, theta=theta, phi=phi)
-    sc = Scenario(kind="pure", motif=motif, depth=depth, seed=0)
-    res = run_ensemble(sc, port, depths, runs=1)
-    want = bloch_distributions(motif, port, depths)
-    for sample in res.samples:
-        np.testing.assert_allclose(
-            sample.distribution.probabilities, want[sample.depth], rtol=0, atol=1e-14
-        )
+    assert_pure_run_is_the_bloch_wave(motif, port, depths)
+
+
+@pytest.mark.parametrize("port", [0, 1999, 3999])
+def test_pure_ring_of_north_star_size_is_the_bloch_wave(port):
+    # ports 1, 2000 and 4000 of 2000 couplers; 4 * 1010 > 4000 runs past the wrap
+    motif = MotifParams(n_couplers=2000, theta=0.7, phi=1.1)
+    assert_pure_run_is_the_bloch_wave(motif, port, [1, 2, 505, 1000, 1010])

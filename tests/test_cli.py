@@ -705,8 +705,8 @@ def run_with_threads(tmp_path, command, cfg, threads):
             "runs": 10,
             "emit": ["distributions", "fits", "variance_trace", "spectral"],
         }),
-        # more runs than one chunk, at a size where a multithreaded BLAS
-        # splits each step's product between threads
+        # more runs than one chunk, so each step's products take a full
+        # chunk of 256 columns
         ("simulate", {
             "scenario": {
                 "kind": "fully-random", "n_couplers": 100, "alpha_layer": TWO_PI, "seed": 0,
@@ -778,7 +778,7 @@ print(code, "scipy" in sys.modules)
     ],
     ids=["simulate", "scan-alpha", "spectrum", "simulate-spectral"],
 )
-def test_only_spectral_runs_import_scipy(tmp_path, command, overrides):
+def test_no_run_imports_scipy(tmp_path, command, overrides):
     cfg = write_config(tmp_path, **overrides)
     out = tmp_path / "out"
     proc = subprocess.run(
@@ -791,7 +791,7 @@ def test_only_spectral_runs_import_scipy(tmp_path, command, overrides):
     assert proc.stdout.split() == ["0", "False"]
 
 
-def test_scipy_is_imported_only_inside_eig_unitary():
+def test_no_module_imports_scipy():
     found = []
     for path in sorted((SRC / "ringnet").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):

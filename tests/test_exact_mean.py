@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+import ringnet.simulate
 from ringnet.network import TWO_PI, MotifParams, Scenario
 from ringnet.simulate import circular_displacements, run_ensemble
 
@@ -24,8 +25,9 @@ RUNS = 1000
 N_COUPLERS = 20
 PORT = 19
 DEPTHS = (2, 5, 10)
-# ports 1 and 2N start the light cone in a frame rolled by 20 modes (port 20's is
-# not rolled), and depth 14 runs past the wrap, where the cone has covered the ring
+# from ports 1 and 2N the light cone crosses the seam at once (port 20's stays
+# off it through depth 10), and depth 14 runs past the wrap, where the cone
+# has covered the ring
 SEAM_PORTS = (0, 2 * N_COUPLERS - 1)
 SEAM_DEPTHS = (2, 5, 10, 14)
 
@@ -52,11 +54,11 @@ STRENGTHS = pytest.mark.parametrize("alpha", [TWO_PI, math.pi, 0.3])
 INTERNAL = pytest.mark.parametrize("internal", [True, False])
 
 
-def assert_within_z_bound(exact, samples):
+def assert_within_z_bound(exact, samples, runs=RUNS):
     for sample in samples:
         p_bar = exact[sample.depth]
         assert abs(p_bar.sum() - 1.0) < 1e-13
-        sigma = np.sqrt(p_bar * (1.0 - p_bar) / RUNS)
+        sigma = np.sqrt(p_bar * (1.0 - p_bar) / runs)
         z_excess = np.abs(sample.distribution.probabilities - p_bar) - Z_BOUND * sigma
         assert z_excess.max() <= 0.0, (sample.depth, z_excess.argmax())
 
@@ -75,6 +77,18 @@ def test_seam_ports_past_the_wrap_are_within_the_z_bound(port, alpha, internal):
     samples = run_ensemble(sc, port, SEAM_DEPTHS, RUNS).samples
     assert [s.depth for s in samples] == list(SEAM_DEPTHS)
     assert_within_z_bound(exact_mean(sc, port, SEAM_DEPTHS), samples)
+
+
+# one realization past a full chunk: a mean that kept only the last chunk's
+# sum would be that one realization, which strong disorder puts far outside
+# the bound (weak disorder barely tells realizations apart)
+@pytest.mark.parametrize("alpha", [TWO_PI, math.pi])
+@INTERNAL
+def test_a_run_one_past_a_chunk_is_within_the_z_bound(alpha, internal):
+    runs = ringnet.simulate.CHUNK + 1
+    sc = scenario(alpha, internal)
+    samples = run_ensemble(sc, PORT, DEPTHS, runs).samples
+    assert_within_z_bound(exact_mean(sc, PORT, DEPTHS), samples, runs)
 
 
 @STRENGTHS

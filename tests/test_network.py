@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -357,31 +358,21 @@ def test_compose_builds_no_dense_step_factor(kind, monkeypatch):
     assert np.abs(compose(sc) - dense).max() <= 1e-13
 
 
-FRESH_KINDS = ["fully-random", "intermediate"]
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    st.sampled_from(FRESH_KINDS),
-    st.integers(min_value=2, max_value=9),
-    st.integers(min_value=1, max_value=12),
-    st.integers(min_value=0, max_value=10**6),
-    st.sampled_from([1, 3, 5, 7]),
-    st.booleans(),
-)
-def test_compose_column_blocks_need_not_divide_the_ring(
-    kind, n_couplers, depth, seed, block, internal
-):
-    # blocks of 3, 5 or 7 columns leave a short last block on most rings
-    alphas = {"alpha_layer": 2.0, **({"alpha_fixed": 1.0} if kind == "intermediate" else {})}
-    sc = dataclasses.replace(
-        _scenario(kind, n_couplers, depth, seed, **alphas),
-        motif_internal_phases=internal or kind == "intermediate",
-    )
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ringnet.network, "COLUMN_BLOCK", block)
+def test_fresh_compose_peaks_below_the_spectral_report_on_it():
+    # the fresh kinds push the whole identity through one advance, which holds
+    # it beside the ring buffer and two states: below the spectral report,
+    # which holds compose's result beside its own decomposition
+    sc = _scenario("fully-random", 512, 3, 0, alpha_layer=1.0)
+    tracemalloc.start()
+    try:
         w = compose(sc)
-    assert np.abs(w - sequential_product(sc)).max() <= 1e-13
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        eigenvector_localization(w)
+        spectral_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < spectral_peak, (peak, spectral_peak)
 
 
 def cone_scenario(kind, n_couplers, depth):
@@ -391,6 +382,24 @@ def cone_scenario(kind, n_couplers, depth):
         "intermediate": {"alpha_fixed": TWO_PI, "alpha_layer": 1.0},
     }.get(kind, {})
     return _scenario(kind, n_couplers, depth, 17, **alphas)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n_couplers", [7, 20, 100])
+@pytest.mark.parametrize("k", [3, 37])
+def test_a_columns_bits_do_not_depend_on_its_chunk(kind, n_couplers, k):
+    # each amplitude is the same four-term sum of its own column's entries
+    # whatever the other columns hold, so column r of k equals the one-column
+    # run of stream r
+    sc = cone_scenario(kind, n_couplers, 30)
+    start = np.zeros((sc.n_modes, k), dtype=np.complex128)
+    start[n_couplers] = 1.0
+    for chunk in advance(sc, [RngStream(sc.seed, r) for r in range(k)], start):
+        pass
+    for r in range(k):
+        for column in advance(sc, [RngStream(sc.seed, r)], start[:, :1]):
+            pass
+        assert np.array_equal(column[:, 0], chunk[:, r]), r
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -341,8 +341,9 @@ def run_in_chunks(chunk, sc, port, runs):
         return run_ensemble(sc, port, depths=range(1, sc.depth + 1), runs=runs)
 
 
-# a realization's last bits depend on its row in the chunk's product with u,
-# so splits are held to round-off, not to bytes
+# a realization's own bits do not depend on its column in the chunk, but the
+# ensemble mean sums each chunk before adding it to the others, so splits
+# regroup those sums and are held to round-off, not to bytes
 @settings(max_examples=60, deadline=None, phases=NO_SHRINK)
 @given(
     st.sampled_from(KINDS),
